@@ -9,9 +9,10 @@
 // balanced responses give near-M speedup; Modulo's skew caps it at the
 // pileup device, mirroring the paper's largest-response tables.
 //
-// (A ThreadPool run is also reported for completeness; on few-core hosts
-// it mostly measures scheduling overhead, which is why the critical-path
-// metric is the headline.)
+// The per-device times are QueryStats::device_wall_ms: the shared
+// StorageBackend::Execute gathers a local backend device by device and
+// times each share, so one serial run yields both numbers on any host
+// core count.
 
 #include <algorithm>
 #include <iostream>

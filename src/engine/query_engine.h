@@ -15,10 +15,12 @@
 //
 // Both transformations are result-preserving: every query's records, match
 // counts, per-device qualified counts and largest response are bit-identical
-// to the backend's own solo Execute — flat, paged, or dynamic (enforced by
-// the differential tests).  Bucket enumeration and scan planning go through
-// the backend's cached DeviceMap, and record access through ScanBucket, so
-// the engine never touches backend-specific storage.
+// to a solo StorageBackend::Execute on the same backend, whatever its kind
+// (enforced by the differential tests).  The two are one path seen at two
+// batch sizes: both enumerate through the backend's cached DeviceMap,
+// charge buckets by the same routing rule (ServingDevice), and gather
+// records through ScanMany, so the engine never touches backend-specific
+// storage.
 //
 // Two entry points:
 //  * ExecuteBatch() — synchronous; the caller's batch is the unit of

@@ -180,6 +180,9 @@ class RemoteBackend final : public StorageBackend {
   /// Every gather is a round trip: a composite parent should overlap
   /// this shard's scans with its siblings'.
   bool ScanPrefersFanout() const override { return true; }
+  /// Filter pushdown: one kExecute frame, which the server answers with
+  /// the shared StorageBackend::Execute over its own backend — only the
+  /// matched records cross the wire.
   Result<QueryResult> Execute(const ValueQuery& query) const override;
   std::vector<std::uint64_t> RecordCountsPerDevice() const override;
   void ForEachLiveRecord(

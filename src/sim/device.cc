@@ -21,10 +21,4 @@ bool Device::RemoveRecord(std::uint64_t linear_bucket, RecordIndex record) {
   return true;
 }
 
-const std::vector<RecordIndex>* Device::Records(
-    std::uint64_t linear_bucket) const {
-  auto it = buckets_.find(linear_bucket);
-  return it == buckets_.end() ? nullptr : &it->second;
-}
-
 }  // namespace fxdist

@@ -31,7 +31,11 @@ class Device {
   bool RemoveRecord(std::uint64_t linear_bucket, RecordIndex record);
 
   /// Records in one bucket; nullptr when the bucket is empty/absent.
-  const std::vector<RecordIndex>* Records(std::uint64_t linear_bucket) const;
+  /// Inline: every scan and liveness probe of a bucket starts here.
+  const std::vector<RecordIndex>* Records(std::uint64_t linear_bucket) const {
+    auto it = buckets_.find(linear_bucket);
+    return it == buckets_.end() ? nullptr : &it->second;
+  }
 
   /// Number of non-empty buckets resident on this device.
   std::uint64_t num_buckets() const { return buckets_.size(); }

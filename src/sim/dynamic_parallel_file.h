@@ -15,7 +15,8 @@
 // records_moved() expose it, and the growing_file example charts it.
 //
 // As the "dynamic" StorageBackend it answers the standard Execute/Scan
-// contract; Delete is unimplemented (extendible directories only grow).
+// contract over the *current* directory state; Delete is unimplemented
+// (extendible directories only grow).
 
 #ifndef FXDIST_SIM_DYNAMIC_PARALLEL_FILE_H_
 #define FXDIST_SIM_DYNAMIC_PARALLEL_FILE_H_
@@ -56,9 +57,6 @@ class DynamicParallelFile : public StorageBackend {
   /// Hashes, stores, and (on directory growth) redistributes.
   Status Insert(Record record) override;
 
-  /// Partial match over the *current* directory state.
-  Result<QueryResult> Execute(const ValueQuery& query) const override;
-
   /// Extendible directories only grow; deletion is not supported.
   Result<std::uint64_t> Delete(const ValueQuery& query) override;
 
@@ -86,6 +84,11 @@ class DynamicParallelFile : public StorageBackend {
   void ScanBucket(
       std::uint64_t device, std::uint64_t linear_bucket,
       const std::function<bool(const Record&)>& fn) const override;
+  /// Direct loop over the device buckets (no per-bucket ScanBucket
+  /// callback): this is Execute's and the engine's gather.
+  void ScanMany(const std::vector<BucketRef>& refs,
+                const std::function<bool(std::size_t, const Record&)>& fn)
+      const override;
 
   std::vector<ValueType> FieldTypes() const override {
     std::vector<ValueType> types;

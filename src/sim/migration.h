@@ -129,6 +129,8 @@ class MigratingBackend : public StorageBackend {
   bool IsBucketLive(std::uint64_t device,
                     std::uint64_t linear_bucket) const override;
 
+  /// Forwards to the active plane under the shared lock, so a cutover
+  /// can never land inside one query.
   Result<QueryResult> Execute(const ValueQuery& query) const override;
   std::vector<std::uint64_t> RecordCountsPerDevice() const override;
 

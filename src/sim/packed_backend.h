@@ -144,8 +144,6 @@ class PackedBackend final : public StorageBackend {
   bool ScanRecordsAreStable() const override { return false; }
   bool IsReadOnly() const override { return true; }
 
-  Result<QueryResult> Execute(const ValueQuery& query) const override;
-
   std::vector<std::uint64_t> RecordCountsPerDevice() const override {
     return directory_.device_records;
   }

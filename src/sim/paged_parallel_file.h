@@ -7,9 +7,10 @@
 // the loop on the paper's two-stage model: stage 1 decides the device,
 // stage 2 decides how many I/Os the device performs for its share.
 //
-// As the "paged" StorageBackend it also answers the standard Execute
-// contract (bucket-count QueryStats, no page accounting), so the batch
-// QueryEngine and persistence drive it like any other backend.
+// As the "paged" StorageBackend it answers the standard Execute contract
+// through the shared query path (bucket-count QueryStats, no page
+// accounting), so the batch QueryEngine and persistence drive it like
+// any other backend.
 
 #ifndef FXDIST_SIM_PAGED_PARALLEL_FILE_H_
 #define FXDIST_SIM_PAGED_PARALLEL_FILE_H_
@@ -54,10 +55,6 @@ class PagedParallelFile : public StorageBackend {
   /// Partial match with page-level accounting (what the disk pays).
   Result<PagedQueryResult> ExecutePaged(const ValueQuery& query) const;
 
-  /// Standard backend execution: same records as ExecutePaged, with
-  /// bucket-count QueryStats instead of page accounting.
-  Result<QueryResult> Execute(const ValueQuery& query) const override;
-
   /// Deletes every record matching the query; pages that empty are
   /// recycled.  Returns the number removed.
   Result<std::uint64_t> Delete(const ValueQuery& query) override;
@@ -81,6 +78,11 @@ class PagedParallelFile : public StorageBackend {
   void ScanBucket(
       std::uint64_t device, std::uint64_t linear_bucket,
       const std::function<bool(const Record&)>& fn) const override;
+  /// Walks each ref's page chain directly (no per-bucket ScanBucket
+  /// callback): this is Execute's and the engine's gather.
+  void ScanMany(const std::vector<BucketRef>& refs,
+                const std::function<bool(std::size_t, const Record&)>& fn)
+      const override;
 
   std::vector<ValueType> FieldTypes() const override {
     std::vector<ValueType> types;

@@ -22,7 +22,6 @@
 #include "sim/storage_backend.h"
 #include "sim/timing.h"
 #include "util/status.h"
-#include "util/thread_pool.h"
 
 namespace fxdist {
 
@@ -38,22 +37,8 @@ class ParallelFile : public StorageBackend {
   /// Hashes and stores one record.
   Status Insert(Record record) override;
 
-  /// Executes an application-level partial match query: wildcards are
-  /// std::nullopt.  Specified fields are matched by *value equality* after
-  /// the bucket-level candidates are fetched (hash collisions are
-  /// filtered out).
-  Result<QueryResult> Execute(const ValueQuery& query) const override;
-
-  /// With a `pool`, each device's inverse mapping and record filtering
-  /// runs as its own task — the real-concurrency counterpart of the
-  /// modeled disk_timing, with the measured elapsed time in
-  /// stats.wall_ms.  Devices touch disjoint state, so this is safe by
-  /// construction.
-  Result<QueryResult> Execute(const ValueQuery& query,
-                              ThreadPool* pool) const;
-
-  /// Deletes every record matching the partial match query (same
-  /// semantics as Execute's filter).  Returns the number removed.
+  /// Deletes every record matching the partial match query (the same
+  /// value-equality filter Execute applies).  Returns the number removed.
   /// Storage for deleted records is reclaimed lazily (arena slots are
   /// tombstoned; device buckets drop the entries immediately).
   Result<std::uint64_t> Delete(const ValueQuery& query) override;
@@ -94,6 +79,11 @@ class ParallelFile : public StorageBackend {
   void ScanBucket(
       std::uint64_t device, std::uint64_t linear_bucket,
       const std::function<bool(const Record&)>& fn) const override;
+  /// Direct loop over the device buckets (no per-bucket ScanBucket
+  /// callback): this is Execute's and the engine's gather.
+  void ScanMany(const std::vector<BucketRef>& refs,
+                const std::function<bool(std::size_t, const Record&)>& fn)
+      const override;
 
   std::vector<ValueType> FieldTypes() const override {
     std::vector<ValueType> types;

@@ -5,16 +5,27 @@
 // core/device_map.h; this interface is the storage plane: every file
 // shape — flat in-memory buckets (ParallelFile), fixed-capacity pages
 // with overflow chains (PagedParallelFile), growing extendible
-// directories (DynamicParallelFile) — implements the same contract, so
-// the batch QueryEngine, persistence, and the tools drive any of them
+// directories (DynamicParallelFile), immutable packed images
+// (PackedBackend) — implements the same contract, so the batch
+// QueryEngine, persistence, and the tools drive any of them
 // interchangeably.  Composite stores (sim/composite_backend.h's
 // ShardedBackend and ReplicatedBackend) are further implementations
 // built from child backends, not forks of the contract.
 //
 // Contract notes:
+//  * One query path.  A backend supplies placement (device_map), bucket
+//    access (ScanBucket/ScanMany) and routing (ServingDevice); the base
+//    class's Execute turns those into a query answer, and the engine's
+//    shared scans gather through the same ScanMany.  Both rest on one
+//    condition: each qualified bucket has exactly one serving device per
+//    topology version, so answering from per-device fragments and
+//    charging each bucket to that one device is the whole query.  Only
+//    a wrapper with a reason overrides Execute (a remote client pushes
+//    the filter down to a server that runs this same default; a
+//    migrating wrapper holds its cutover lock across the call).
 //  * ScanBucket visits a bucket's records in the backend's own stable
-//    scan order; Execute and the engine's shared scans both go through
-//    it, which is what makes batched results bit-identical to serial.
+//    scan order; ScanMany delivers each ref in that order, which is
+//    what makes batched results bit-identical to serial.
 //  * Backends are externally synchronized: readers (Execute/ScanBucket)
 //    are const and may run concurrently, but no call may overlap a
 //    mutation (Insert/Delete).
@@ -195,9 +206,10 @@ class StorageBackend {
   /// indices may be visited concurrently — and interleaved — but records
   /// of one ref are always delivered in order by a single thread at a
   /// time, so per-index accumulation needs no locking while cross-index
-  /// state does.  The default loops ScanBucket serially; composite and
-  /// remote backends override it to fan the whole batch out (one frame
-  /// per shard instead of one per bucket).
+  /// state does.  The default loops ScanBucket serially; the in-memory
+  /// backends override it with a direct loop over their bucket storage,
+  /// and composite and remote backends to fan the whole batch out (one
+  /// frame per shard instead of one per bucket).
   virtual void ScanMany(
       const std::vector<BucketRef>& refs,
       const std::function<bool(std::size_t, const Record&)>& fn) const;
@@ -256,9 +268,19 @@ class StorageBackend {
   /// storage override it with what is actually paged in.
   virtual std::uint64_t ApproxMemoryBytes() const;
 
-  /// Executes one partial match query serially (wildcards are
-  /// std::nullopt), with full QueryStats accounting.
-  virtual Result<QueryResult> Execute(const ValueQuery& query) const = 0;
+  /// Executes one partial match query (wildcards are std::nullopt) with
+  /// full QueryStats accounting.  The default is the one query path:
+  /// enumerate each device's qualified buckets through device_map(),
+  /// charge each to its device (to ServingDevice() while
+  /// HasDegradedRouting()), gather the records with ScanMany, and filter
+  /// them with RecordMatchesValueQuery.  Local backends gather device
+  /// by device, one ScanMany each, so device_wall_ms is measured;
+  /// backends that ScanPrefersFanout() gather every device in one
+  /// ScanMany (one frame per remote shard) and leave device_wall_ms at
+  /// zero.  Health() is checked before and after the gather, so a
+  /// backend that lost its storage fails instead of returning partial
+  /// results.
+  virtual Result<QueryResult> Execute(const ValueQuery& query) const;
 
   /// Per-device record counts — storage balance diagnostics.
   virtual std::vector<std::uint64_t> RecordCountsPerDevice() const = 0;

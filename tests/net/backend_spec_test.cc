@@ -15,6 +15,7 @@
 
 #include "sim/packed_backend.h"
 #include "sim/parallel_file.h"
+#include "support/temp_path.h"
 #include "workload/query_gen.h"
 #include "workload/record_gen.h"
 
@@ -43,7 +44,7 @@ TEST(BackendSpecTest, PackedShardsServeBitIdentically) {
   std::vector<std::string> specs;
   for (std::uint64_t d = 0; d < kDevices; ++d) {
     const std::string path =
-        testing::TempDir() + "/spec_dev" + std::to_string(d) + ".fxpk";
+        UniqueTempPath("dev" + std::to_string(d) + ".fxpk");
     auto written = PackBackend(flat, path, {}, d);
     ASSERT_TRUE(written.ok()) << written.status().ToString();
     specs.push_back("packed:" + path);
@@ -85,7 +86,7 @@ TEST(BackendSpecTest, RejectsBadPackedSpecs) {
                    .ok());
   // Device-count mismatch: image packed for 2 devices, composite wants 4.
   auto flat = ParallelFile::Create(schema, 2, "fx-iu2", kSeed).value();
-  const std::string path = testing::TempDir() + "/spec_mismatch.fxpk";
+  const std::string path = UniqueTempPath("mismatch.fxpk");
   ASSERT_TRUE(PackBackend(flat, path).ok());
   auto mismatched =
       MakeChildBackend("packed:" + path, schema, kDevices, "fx-iu2", kSeed);

@@ -24,6 +24,7 @@
 #include "sim/paged_parallel_file.h"
 #include "sim/parallel_file.h"
 #include "sim/persistence.h"
+#include "support/temp_path.h"
 #include "workload/query_gen.h"
 #include "workload/record_gen.h"
 
@@ -279,7 +280,7 @@ TEST(RemotePersistenceTest, CompositeWithRemoteChildrenRoundTrips) {
   const std::vector<Record> records = TestRecords();
   for (const Record& r : records) ASSERT_TRUE(remote->Insert(r).ok());
 
-  const std::string path = testing::TempDir() + "/remote_composite.fxdist";
+  const std::string path = UniqueTempPath("composite.fxdist");
   ASSERT_TRUE(SaveBackend(*remote, path).ok());
   auto loaded = LoadBackend(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();

@@ -22,6 +22,7 @@
 #include "sim/paged_parallel_file.h"
 #include "sim/parallel_file.h"
 #include "sim/persistence.h"
+#include "support/temp_path.h"
 #include "workload/query_gen.h"
 #include "workload/record_gen.h"
 
@@ -163,8 +164,7 @@ TEST_P(CompositeBackendTest, PersistenceRoundTripsSharded) {
   auto sharded = MakeShardedOf(GetParam());
   for (const Record& r : data) ASSERT_TRUE(sharded->Insert(r).ok());
 
-  const std::string path =
-      testing::TempDir() + "/sharded_" + GetParam() + ".fxdist";
+  const std::string path = UniqueTempPath("sharded.fxdist");
   ASSERT_TRUE(SaveBackend(*sharded, path).ok());
   auto loaded = LoadBackend(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
@@ -367,8 +367,7 @@ TEST_P(ReplicatedBackendTest, PersistenceRoundTripsDownState) {
   for (const Record& r : data) ASSERT_TRUE(replicated->Insert(r).ok());
   ASSERT_TRUE(replicated->MarkDown(2).ok());
 
-  const std::string path = testing::TempDir() + "/replicated_" +
-                           GetParam().name + ".fxdist";
+  const std::string path = UniqueTempPath("replicated.fxdist");
   ASSERT_TRUE(SaveBackend(*replicated, path).ok());
   auto loaded = LoadBackend(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();

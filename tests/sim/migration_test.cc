@@ -20,6 +20,7 @@
 
 #include "sim/parallel_file.h"
 #include "sim/persistence.h"
+#include "support/temp_path.h"
 
 namespace fxdist {
 namespace {
@@ -326,10 +327,6 @@ TEST(Migration, ControllerExhaustsAttemptsAndLeavesSourceServing) {
 // Persistence v4: in-flight migrations round-trip; skew degrades to
 // clean errors.
 
-std::string TempPath(const char* name) {
-  return testing::TempDir() + "/" + name;
-}
-
 // ---------------------------------------------------------------------
 // Deletes racing the copy cursor.  The invariant these tests document:
 // CopyChunk's cursor walks *bucket ranges*, not record lists, and every
@@ -428,7 +425,7 @@ TEST(Migration, BucketEmptiedUnderTheCursorIsJustAnEmptyRange) {
 
 TEST(MigrationPersistence, IdleWrapperSavesAsPlainBackend) {
   auto wrapper = MakeWrapper(30);
-  const std::string path = TempPath("idle_wrapper.fxdist");
+  const std::string path = UniqueTempPath("idle_wrapper.fxdist");
   ASSERT_TRUE(SaveBackend(*wrapper, path).ok());
   std::ifstream in(path);
   std::string header;
@@ -449,7 +446,7 @@ TEST(MigrationPersistence, InFlightMigrationResumesFromSavedCursor) {
   const std::uint64_t cursor = wrapper->CopyCursor();
   ASSERT_GT(cursor, 0u);
 
-  const std::string path = TempPath("inflight.fxdist");
+  const std::string path = UniqueTempPath("inflight.fxdist");
   ASSERT_TRUE(SaveBackend(*wrapper, path).ok());
   {
     std::ifstream in(path);
@@ -488,7 +485,7 @@ TEST(MigrationPersistence, V4BlobWithV3HeaderIsRejectedNotCrashed) {
           .value();
   ASSERT_TRUE(wrapper->BeginMigration(std::move(target)).ok());
   ASSERT_TRUE(wrapper->CopyChunk(4).ok());
-  const std::string path = TempPath("skew_v3.fxdist");
+  const std::string path = UniqueTempPath("skew_v3.fxdist");
   ASSERT_TRUE(SaveBackend(*wrapper, path).ok());
 
   std::string blob;
@@ -511,7 +508,7 @@ TEST(MigrationPersistence, V4BlobWithV3HeaderIsRejectedNotCrashed) {
 
 TEST(MigrationPersistence, FutureVersionTagIsRejectedNotCrashed) {
   auto wrapper = MakeWrapper(5);
-  const std::string path = TempPath("skew_v5.fxdist");
+  const std::string path = UniqueTempPath("skew_v5.fxdist");
   ASSERT_TRUE(SaveBackend(*wrapper, path).ok());
   std::string blob;
   {
@@ -537,7 +534,7 @@ TEST(MigrationPersistence, TruncatedV4NeverCrashes) {
           .value();
   ASSERT_TRUE(wrapper->BeginMigration(std::move(target)).ok());
   ASSERT_TRUE(wrapper->CopyChunk(6).ok());
-  const std::string path = TempPath("trunc_v4.fxdist");
+  const std::string path = UniqueTempPath("trunc_v4.fxdist");
   ASSERT_TRUE(SaveBackend(*wrapper, path).ok());
   std::string blob;
   {

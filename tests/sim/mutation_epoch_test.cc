@@ -15,6 +15,7 @@
 #include "sim/packed_backend.h"
 #include "sim/paged_parallel_file.h"
 #include "sim/parallel_file.h"
+#include "support/temp_path.h"
 
 namespace fxdist {
 namespace {
@@ -127,8 +128,7 @@ TEST(MutationEpochPackedTest, PackedStaysFrozen) {
   for (std::int64_t i = 0; i < 32; ++i) {
     ASSERT_TRUE(source->Insert(RecordOf(i)).ok());
   }
-  const std::string pack_path =
-      testing::TempDir() + "/mutation_epoch_test.pack";
+  const std::string pack_path = UniqueTempPath("source.pack");
   ASSERT_TRUE(PackBackend(*source, pack_path).ok());
   auto packed = PackedBackend::Open(pack_path).value();
   EXPECT_EQ(packed->MutationEpoch(), 0u);

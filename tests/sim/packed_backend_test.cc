@@ -20,6 +20,7 @@
 #include "sim/composite_backend.h"
 #include "sim/parallel_file.h"
 #include "sim/persistence.h"
+#include "support/temp_path.h"
 #include "workload/query_gen.h"
 #include "workload/record_gen.h"
 
@@ -70,7 +71,7 @@ ParallelFile MakeFlat(std::uint64_t num_devices,
 }
 
 std::string TempPath(const std::string& name) {
-  return testing::TempDir() + "/" + name + ".fxpk";
+  return UniqueTempPath(name + ".fxpk");
 }
 
 std::unique_ptr<PackedBackend> PackAndOpen(const StorageBackend& source,

@@ -18,6 +18,7 @@
 
 #include "sim/packed_backend.h"
 #include "sim/packed_format.h"
+#include "support/temp_path.h"
 #include "util/random.h"
 
 namespace fxdist {
@@ -56,7 +57,7 @@ std::string ReadFileBytes(const std::string& path) {
 /// Builds the deterministic golden image: fixed schema, 2 devices,
 /// fx-iu2 placement, seed 1, 4-record blocks.
 std::string BuildGoldenImage() {
-  const std::string path = testing::TempDir() + "/golden.fxpk";
+  const std::string path = UniqueTempPath("golden.fxpk");
   PackedOptions options;
   options.records_per_block = 4;
   auto builder =
@@ -234,6 +235,24 @@ TEST(PackedCorruptionTest, FlippedPayloadBytePoisonsLazyScans) {
   ASSERT_FALSE(health.ok());
   EXPECT_EQ(health.code(), StatusCode::kDataLoss);
   EXPECT_LT(delivered.size(), (*opened)->num_records());
+}
+
+TEST(PackedCorruptionTest, FlippedPayloadByteFailsExecuteWithDataLoss) {
+  std::string bytes = BuildGoldenImage();
+  bytes[packed::kHeaderSize] =
+      static_cast<char>(bytes[packed::kHeaderSize] ^ 0x01);
+  auto opened = PackedBackend::OpenFromBuffer(bytes);
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  // The shared Execute reaches the corrupted block through ScanMany,
+  // which cannot report errors: the health re-check after the gather
+  // must turn the poisoned scan into DataLoss, not a partial result.
+  auto first = (*opened)->Execute(ValueQuery(3));
+  ASSERT_FALSE(first.ok());
+  EXPECT_EQ(first.status().code(), StatusCode::kDataLoss);
+  // Once poisoned, every later query fails up front the same way.
+  auto again = (*opened)->Execute(ValueQuery(3));
+  ASSERT_FALSE(again.ok());
+  EXPECT_EQ(again.status().code(), StatusCode::kDataLoss);
 }
 
 // -- Corruption: directory-level validation (crafted sections) ------------

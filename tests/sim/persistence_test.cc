@@ -7,6 +7,7 @@
 #include <fstream>
 #include <sstream>
 
+#include "support/temp_path.h"
 #include "workload/record_gen.h"
 
 namespace fxdist {
@@ -21,16 +22,12 @@ Schema TestSchema() {
       .value();
 }
 
-std::string TempPath(const char* name) {
-  return testing::TempDir() + "/" + name;
-}
-
 TEST(PersistenceTest, RoundTripPreservesEverything) {
   auto file = ParallelFile::Create(TestSchema(), 16, "fx-iu2", 7).value();
   auto gen = RecordGenerator::Uniform(TestSchema(), 3).value();
   for (const Record& r : gen.Take(200)) ASSERT_TRUE(file.Insert(r).ok());
 
-  const std::string path = TempPath("roundtrip.fxdist");
+  const std::string path = UniqueTempPath("roundtrip.fxdist");
   ASSERT_TRUE(SaveParallelFile(file, path).ok());
   auto loaded = LoadParallelFile(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
@@ -51,7 +48,7 @@ TEST(PersistenceTest, QueriesEquivalentAfterReload) {
   const auto data = gen.Take(150);
   for (const Record& r : data) ASSERT_TRUE(file.Insert(r).ok());
 
-  const std::string path = TempPath("queries.fxdist");
+  const std::string path = UniqueTempPath("queries.fxdist");
   ASSERT_TRUE(SaveParallelFile(file, path).ok());
   auto loaded = LoadParallelFile(path).value();
 
@@ -75,7 +72,7 @@ TEST(PersistenceTest, TrickyStringContentSurvives) {
   ASSERT_TRUE(file.Insert({std::int64_t{1}, nasty}).ok());
   ASSERT_TRUE(file.Insert({std::int64_t{2}, std::string()}).ok());
 
-  const std::string path = TempPath("tricky.fxdist");
+  const std::string path = UniqueTempPath("tricky.fxdist");
   ASSERT_TRUE(SaveParallelFile(file, path).ok());
   auto loaded = LoadParallelFile(path).value();
   ValueQuery q(2);
@@ -93,7 +90,7 @@ TEST(PersistenceTest, DoubleBitsExactRoundTrip) {
                            0.30000000000000004};
   for (double v : values) ASSERT_TRUE(file.Insert({v}).ok());
 
-  const std::string path = TempPath("doubles.fxdist");
+  const std::string path = UniqueTempPath("doubles.fxdist");
   ASSERT_TRUE(SaveParallelFile(file, path).ok());
   auto loaded = LoadParallelFile(path).value();
   for (double v : values) {
@@ -113,7 +110,7 @@ TEST(PersistenceTest, DeletedRecordsNotSaved) {
   const std::uint64_t removed = file.Delete(ValueQuery(3)).value();
   EXPECT_EQ(removed, 50u);
 
-  const std::string path = TempPath("deleted.fxdist");
+  const std::string path = UniqueTempPath("deleted.fxdist");
   ASSERT_TRUE(SaveParallelFile(file, path).ok());
   auto loaded = LoadParallelFile(path).value();
   EXPECT_EQ(loaded.num_records(), 0u);
@@ -126,7 +123,7 @@ TEST(PersistenceTest, TruncatedFilesRejectedAtEveryPoint) {
   auto file = ParallelFile::Create(TestSchema(), 8, "fx-iu2").value();
   auto gen = RecordGenerator::Uniform(TestSchema(), 13).value();
   for (const Record& r : gen.Take(5)) ASSERT_TRUE(file.Insert(r).ok());
-  const std::string path = TempPath("full.fxdist");
+  const std::string path = UniqueTempPath("full.fxdist");
   ASSERT_TRUE(SaveParallelFile(file, path).ok());
   std::string content;
   {
@@ -135,7 +132,7 @@ TEST(PersistenceTest, TruncatedFilesRejectedAtEveryPoint) {
     ss << in.rdbuf();
     content = ss.str();
   }
-  const std::string cut_path = TempPath("cut.fxdist");
+  const std::string cut_path = UniqueTempPath("cut.fxdist");
   for (std::size_t len = 0; len < content.size();
        len += std::max<std::size_t>(1, content.size() / 40)) {
     {
@@ -154,7 +151,7 @@ TEST(PersistenceTest, TruncatedFilesRejectedAtEveryPoint) {
 }
 
 TEST(PersistenceTest, CorruptFilesRejected) {
-  const std::string path = TempPath("corrupt.fxdist");
+  const std::string path = UniqueTempPath("corrupt.fxdist");
   {
     std::FILE* f = std::fopen(path.c_str(), "w");
     std::fputs("not an fxdist file at all", f);
@@ -171,7 +168,7 @@ TEST(PersistenceTest, CorruptFilesRejected) {
 // of silently orphaning saved data.
 
 std::string WriteGolden(const char* name, const std::string& text) {
-  const std::string path = TempPath(name);
+  const std::string path = UniqueTempPath(name);
   std::ofstream out(path, std::ios::trunc | std::ios::binary);
   out << text;
   return path;
@@ -208,7 +205,7 @@ TEST(GoldenFormatTest, V1FlatFileStillLoads) {
 
   // The v1 writer is part of the frozen contract too: saving the loaded
   // file reproduces the golden byte for byte.
-  const std::string resave = TempPath("golden_v1_resave.fxdist");
+  const std::string resave = UniqueTempPath("golden_v1_resave.fxdist");
   ASSERT_TRUE(SaveParallelFile(*loaded, resave).ok());
   std::ifstream in(resave, std::ios::binary);
   std::stringstream buffer;
@@ -259,7 +256,7 @@ TEST(GoldenFormatTest, V2FlatBackendStillLoads) {
 
   // Re-saving upgrades to v3; the upgraded file must reload to the same
   // contents.
-  const std::string upgraded = TempPath("golden_v2_upgraded.fxdist");
+  const std::string upgraded = UniqueTempPath("golden_v2_upgraded.fxdist");
   ASSERT_TRUE(SaveBackend(**loaded, upgraded).ok());
   auto reloaded = LoadBackend(upgraded);
   ASSERT_TRUE(reloaded.ok()) << reloaded.status().ToString();

@@ -1,20 +1,27 @@
-// StorageBackend contract tests: the three backends behind one base
-// pointer, and the v2 persistence round-trip (save any backend, load it
-// back by kind token, get bit-identical query results).
+// StorageBackend contract tests: every local backend kind behind one
+// base pointer, the v2 persistence round-trip (save any backend, load it
+// back by kind token, get bit-identical query results), and what the one
+// shared Execute must keep on every kind — measured per-device walls and
+// qualified-bucket accounting that charges dead buckets too.
 
 #include "sim/storage_backend.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <memory>
+#include <numeric>
 #include <string>
 #include <vector>
 
+#include "sim/composite_backend.h"
 #include "sim/dynamic_parallel_file.h"
+#include "sim/packed_backend.h"
 #include "sim/paged_parallel_file.h"
 #include "sim/parallel_file.h"
 #include "sim/persistence.h"
+#include "support/temp_path.h"
 #include "workload/query_gen.h"
 #include "workload/record_gen.h"
 
@@ -65,13 +72,33 @@ void ExpectSameExecution(const StorageBackend& a, const StorageBackend& b,
   }
 }
 
+std::unique_ptr<StorageBackend> MakeFlat() {
+  return std::make_unique<ParallelFile>(
+      ParallelFile::Create(TestSchema(), 8, "fx-iu2", kSeed).value());
+}
+
 // One factory per backend kind so the round-trip test is uniform.
+// "packed" is a flat file packed and reopened read-only; "sharded(flat)"
+// is one flat child per device.
 std::unique_ptr<StorageBackend> MakeBackend(const std::string& kind,
                                             const std::vector<Record>& data) {
+  if (kind == "packed") {
+    const auto source = MakeBackend("flat", data);
+    const std::string path = UniqueTempPath("packed.fxpk");
+    EXPECT_TRUE(PackBackend(*source, path).ok());
+    auto packed = PackedBackend::Open(path);
+    EXPECT_TRUE(packed.ok()) << packed.status().ToString();
+    std::remove(path.c_str());  // the open image outlives its name
+    return *std::move(packed);
+  }
   std::unique_ptr<StorageBackend> backend;
   if (kind == "flat") {
-    backend = std::make_unique<ParallelFile>(
-        ParallelFile::Create(TestSchema(), 8, "fx-iu2", kSeed).value());
+    backend = MakeFlat();
+  } else if (kind == "sharded(flat)") {
+    std::vector<std::unique_ptr<StorageBackend>> children;
+    for (int d = 0; d < 8; ++d) children.push_back(MakeFlat());
+    backend = std::make_unique<ShardedBackend>(
+        ShardedBackend::Create(std::move(children)).value());
   } else if (kind == "paged") {
     backend = std::make_unique<PagedParallelFile>(
         PagedParallelFile::Create(TestSchema(), 8, "fx-iu2", 3, kSeed)
@@ -90,11 +117,16 @@ std::unique_ptr<StorageBackend> MakeBackend(const std::string& kind,
   return backend;
 }
 
+// The kind token a backend reports: "sharded(flat)" is a "sharded".
+std::string KindName(const std::string& kind) {
+  return kind.substr(0, kind.find('('));
+}
+
 class StorageBackendTest : public testing::TestWithParam<std::string> {};
 
 TEST_P(StorageBackendTest, NameMatchesKind) {
   const auto backend = MakeBackend(GetParam(), {});
-  EXPECT_EQ(backend->backend_name(), GetParam());
+  EXPECT_EQ(backend->backend_name(), KindName(GetParam()));
 }
 
 TEST_P(StorageBackendTest, SaveLoadRoundTripIsBitIdentical) {
@@ -102,13 +134,14 @@ TEST_P(StorageBackendTest, SaveLoadRoundTripIsBitIdentical) {
   const auto queries = MakeQueries(data, 40);
   const auto backend = MakeBackend(GetParam(), data);
 
-  const std::string path =
-      testing::TempDir() + "/backend_" + GetParam() + ".fxdist";
+  const std::string path = UniqueTempPath("backend.fxdist");
   ASSERT_TRUE(SaveBackend(*backend, path).ok());
   auto loaded = LoadBackend(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
 
-  EXPECT_EQ((*loaded)->backend_name(), GetParam());
+  // A packed save unpacks to the kind it was packed from.
+  EXPECT_EQ((*loaded)->backend_name(),
+            GetParam() == "packed" ? "flat" : KindName(GetParam()));
   EXPECT_EQ((*loaded)->num_records(), backend->num_records());
   EXPECT_EQ((*loaded)->RecordCountsPerDevice(),
             backend->RecordCountsPerDevice());
@@ -140,8 +173,10 @@ TEST_P(StorageBackendTest, ScanBucketCoversEveryMatch) {
 TEST_P(StorageBackendTest, DefaultVirtualsReportMutableStableBackend) {
   const auto data = MakeRecords(50);
   const auto backend = MakeBackend(GetParam(), data);
-  EXPECT_TRUE(backend->ScanRecordsAreStable());
-  EXPECT_FALSE(backend->IsReadOnly());
+  // Packed is the one immutable kind, decoding out of a bounded cache.
+  const bool packed = GetParam() == "packed";
+  EXPECT_EQ(backend->ScanRecordsAreStable(), !packed);
+  EXPECT_EQ(backend->IsReadOnly(), packed);
   EXPECT_EQ(backend->FieldTypes(),
             (std::vector<ValueType>{ValueType::kInt64, ValueType::kString,
                                     ValueType::kInt64}));
@@ -184,8 +219,49 @@ TEST_P(StorageBackendTest, ScanManyFalseCancelsWholeScatter) {
   EXPECT_EQ(delivered, limit);
 }
 
+TEST_P(StorageBackendTest, ExecuteTimesEveryDevice) {
+  // Local kinds gather device by device, so each device's share carries
+  // its own measured wall (bench/parallel_speedup divides by it).
+  const auto backend = MakeBackend(GetParam(), MakeRecords(200));
+  ASSERT_FALSE(backend->ScanPrefersFanout());
+  const QueryResult result = backend->Execute(ValueQuery(3)).value();
+  const std::vector<double>& walls = result.stats.device_wall_ms;
+  ASSERT_EQ(walls.size(), backend->num_devices());
+  EXPECT_GT(std::accumulate(walls.begin(), walls.end(), 0.0), 0.0);
+  EXPECT_LE(*std::max_element(walls.begin(), walls.end()),
+            result.stats.wall_ms);
+}
+
+TEST_P(StorageBackendTest, QualifiedCountsIncludeDeadBuckets) {
+  // Every qualified bucket is charged, live or not, whether the scan
+  // finds records there or skips it as empty.  The grown dynamic
+  // directories are the sparse case: mostly dead buckets.
+  const auto data = MakeRecords(300);
+  const auto backend = MakeBackend(GetParam(), data);
+  if (GetParam() == "dynamic") {
+    ASSERT_GT(backend->spec().TotalBuckets(), 4 * backend->num_records());
+  }
+  std::vector<ValueQuery> queries = MakeQueries(data, 40);
+  queries.push_back(ValueQuery(3));
+  for (std::size_t i = 0; i < queries.size(); ++i) {
+    const QueryResult result = backend->Execute(queries[i]).value();
+    const PartialMatchQuery hashed = backend->HashQuery(queries[i]).value();
+    EXPECT_EQ(result.stats.total_qualified,
+              hashed.NumQualifiedBuckets(backend->spec()))
+        << "query " << i;
+    EXPECT_EQ(std::accumulate(result.stats.qualified_per_device.begin(),
+                              result.stats.qualified_per_device.end(),
+                              std::uint64_t{0}),
+              result.stats.total_qualified)
+        << "query " << i;
+  }
+  EXPECT_EQ(backend->Execute(ValueQuery(3))->stats.records_matched,
+            data.size());
+}
+
 INSTANTIATE_TEST_SUITE_P(Kinds, StorageBackendTest,
-                         testing::Values("flat", "paged", "dynamic"));
+                         testing::Values("flat", "paged", "dynamic", "packed",
+                                         "sharded(flat)"));
 
 TEST(StorageBackendDeleteTest, FlatAndPagedDeleteDynamicRefuses) {
   const auto data = MakeRecords(120);
@@ -205,7 +281,7 @@ TEST(StorageBackendDeleteTest, FlatAndPagedDeleteDynamicRefuses) {
 }
 
 TEST(StorageBackendPersistenceTest, UnknownKindRejected) {
-  const std::string path = testing::TempDir() + "/unknown_kind.fxdist";
+  const std::string path = UniqueTempPath("unknown_kind.fxdist");
   {
     std::FILE* f = std::fopen(path.c_str(), "w");
     std::fputs("fxdist-backend v2\nkind tape\n", f);

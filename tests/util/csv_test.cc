@@ -6,6 +6,8 @@
 #include <fstream>
 #include <sstream>
 
+#include "support/temp_path.h"
+
 namespace fxdist {
 namespace {
 
@@ -34,7 +36,7 @@ TEST(CsvWriterTest, ShortRowsPadded) {
 TEST(CsvWriterTest, WriteFileRoundTrip) {
   CsvWriter csv({"x"});
   csv.AddRow({"42"});
-  const std::string path = testing::TempDir() + "/fxdist_csv_test.csv";
+  const std::string path = UniqueTempPath("out.csv");
   ASSERT_TRUE(csv.WriteFile(path).ok());
   std::ifstream in(path);
   std::stringstream ss;

@@ -5,15 +5,12 @@
 #include <cstdio>
 #include <fstream>
 
+#include "support/temp_path.h"
 #include "workload/query_gen.h"
 #include "workload/record_gen.h"
 
 namespace fxdist {
 namespace {
-
-std::string TempPath(const char* name) {
-  return testing::TempDir() + "/" + name;
-}
 
 Schema TestSchema() {
   return Schema::Create({
@@ -36,7 +33,7 @@ WorkloadTrace MakeTrace() {
 
 TEST(TraceTest, RoundTrip) {
   const WorkloadTrace trace = MakeTrace();
-  const std::string path = TempPath("trace.fxt");
+  const std::string path = UniqueTempPath("trace.fxt");
   ASSERT_TRUE(SaveTrace(trace, path).ok());
   auto loaded = LoadTrace(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
@@ -54,7 +51,7 @@ TEST(TraceTest, WildcardsPreserved) {
   ValueQuery mixed(2);
   mixed[1] = FieldValue{std::string("a b c")};
   trace.queries = {all_wild, mixed};
-  const std::string path = TempPath("wild.fxt");
+  const std::string path = UniqueTempPath("wild.fxt");
   ASSERT_TRUE(SaveTrace(trace, path).ok());
   auto loaded = LoadTrace(path).value();
   EXPECT_FALSE(loaded.queries[0][0].has_value());
@@ -68,12 +65,12 @@ TEST(TraceTest, ArityMismatchRejectedOnSave) {
   WorkloadTrace trace;
   trace.num_fields = 2;
   trace.records = {{std::int64_t{1}}};  // arity 1
-  EXPECT_FALSE(SaveTrace(trace, TempPath("bad.fxt")).ok());
+  EXPECT_FALSE(SaveTrace(trace, UniqueTempPath("bad.fxt")).ok());
 }
 
 TEST(TraceTest, CorruptAndMissingFilesRejected) {
   EXPECT_FALSE(LoadTrace("/no/such/trace.fxt").ok());
-  const std::string path = TempPath("garbage.fxt");
+  const std::string path = UniqueTempPath("garbage.fxt");
   {
     std::FILE* f = std::fopen(path.c_str(), "w");
     std::fputs("fxdist-trace v1 fields 9999 records 1", f);
@@ -86,7 +83,7 @@ TEST(TraceTest, CorruptAndMissingFilesRejected) {
 TEST(TraceTest, MetaRoundTripsAsV2) {
   WorkloadTrace trace = MakeTrace();
   trace.meta = "serve-bench seed=42 zipf=1.1 \"quoted\" and spaces";
-  const std::string path = TempPath("meta.fxt");
+  const std::string path = UniqueTempPath("meta.fxt");
   ASSERT_TRUE(SaveTrace(trace, path).ok());
   {
     std::ifstream in(path);
@@ -106,7 +103,7 @@ TEST(TraceTest, EmptyMetaWritesV1Verbatim) {
   // Backward compatibility is byte-level: a meta-less trace must be the
   // exact v1 file older readers already parse.
   const WorkloadTrace trace = MakeTrace();
-  const std::string path = TempPath("v1.fxt");
+  const std::string path = UniqueTempPath("v1.fxt");
   ASSERT_TRUE(SaveTrace(trace, path).ok());
   std::ifstream in(path);
   std::string first_line;
@@ -122,7 +119,7 @@ TEST(TraceTest, EmptyMetaWritesV1Verbatim) {
 }
 
 TEST(TraceTest, V2MissingMetaLineRejected) {
-  const std::string path = TempPath("badv2.fxt");
+  const std::string path = UniqueTempPath("badv2.fxt");
   {
     std::FILE* f = std::fopen(path.c_str(), "w");
     std::fputs("fxdist-trace v2\nfields 2\nrecords 0\nqueries 0\n", f);
@@ -135,7 +132,7 @@ TEST(TraceTest, V2MissingMetaLineRejected) {
 TEST(TraceTest, EmptyTraceRoundTrips) {
   WorkloadTrace trace;
   trace.num_fields = 4;
-  const std::string path = TempPath("empty.fxt");
+  const std::string path = UniqueTempPath("empty.fxt");
   ASSERT_TRUE(SaveTrace(trace, path).ok());
   auto loaded = LoadTrace(path).value();
   EXPECT_TRUE(loaded.records.empty());
