@@ -1,5 +1,8 @@
 #include "common.h"
 
+#include <algorithm>
+#include <chrono>
+#include <cstdio>
 #include <cstdlib>
 #include <iostream>
 
@@ -139,6 +142,35 @@ void RunLargestResponseTable(const TableConfig& config) {
   table.Print(std::cout);
   MaybeWriteCsv(config.csv_name, headers, csv_rows);
   std::cout << "\n";
+}
+
+PassTimes TimePasses(std::size_t passes, const std::function<void()>& pass) {
+  std::vector<double> ms(std::max<std::size_t>(1, passes));
+  for (double& pass_ms : ms) {
+    const auto start = std::chrono::steady_clock::now();
+    pass();
+    pass_ms = std::chrono::duration<double, std::milli>(
+                  std::chrono::steady_clock::now() - start)
+                  .count();
+  }
+  std::sort(ms.begin(), ms.end());
+  const auto at = [&ms](double q) {
+    return ms[static_cast<std::size_t>(
+        q * static_cast<double>(ms.size() - 1) + 0.5)];
+  };
+  return {at(0.5), at(0.1), at(0.9)};
+}
+
+double Rate(std::size_t ops, double ms) {
+  return ms <= 0.0 ? 0.0 : static_cast<double>(ops) / (ms / 1e3);
+}
+
+std::string RateCell(std::size_t ops, const PassTimes& times) {
+  char cell[96];
+  std::snprintf(cell, sizeof(cell), "%.0f [%.0f-%.0f]",
+                Rate(ops, times.median_ms), Rate(ops, times.p90_ms),
+                Rate(ops, times.p10_ms));
+  return cell;
 }
 
 }  // namespace fxdist::bench

@@ -3,7 +3,9 @@
 #ifndef FXDIST_BENCH_COMMON_H_
 #define FXDIST_BENCH_COMMON_H_
 
+#include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -49,6 +51,27 @@ struct TableConfig {
 /// Prints average largest response size for Modulo, GDM1-3, FX and the
 /// Optimal bound, rows k = k_min..k_max unspecified fields.
 void RunLargestResponseTable(const TableConfig& config);
+
+/// Per-pass wall time of a repeated timed body, in milliseconds.
+struct PassTimes {
+  double median_ms = 0.0;
+  double p10_ms = 0.0;
+  double p90_ms = 0.0;
+};
+
+/// Runs `pass` `passes` times back to back (at least once) and reports
+/// the median and the 10th/90th percentiles of its wall time.  A single
+/// 10-20 ms pass cannot resolve a 10% change on a shared host; the
+/// median of several can, and the percentiles show how far it can be
+/// trusted.
+PassTimes TimePasses(std::size_t passes, const std::function<void()>& pass);
+
+/// Rate cell for a pass of `ops` operations: the median pass's rate,
+/// then the rates of the p90 (slow) and p10 (fast) passes in brackets.
+std::string RateCell(std::size_t ops, const PassTimes& times);
+
+/// Operations per second of a pass of `ops` operations taking `ms`.
+double Rate(std::size_t ops, double ms);
 
 }  // namespace fxdist::bench
 

@@ -16,11 +16,14 @@
 // realizes the idealized fractional chain balance with integer buckets,
 // so it is held to a loose band instead.
 //
+// Each row's mono, composite and engine rates are the median of
+// RunConfig::passes timed passes over the stream, with the p90-p10 pass
+// rates in brackets.
+//
 // Exits nonzero on any divergence, so CI can run it as a smoke test
-// (`--quick` shrinks the workload to seconds).
+// (`--quick` shrinks the workload to seconds and times one pass).
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
@@ -30,6 +33,7 @@
 #include <vector>
 
 #include "analysis/availability.h"
+#include "common.h"
 #include "core/registry.h"
 #include "engine/query_engine.h"
 #include "net/mux_transport.h"
@@ -46,6 +50,10 @@
 #include "workload/record_gen.h"
 
 using namespace fxdist;  // NOLINT(build/namespaces)
+using fxdist::bench::PassTimes;
+using fxdist::bench::Rate;
+using fxdist::bench::RateCell;
+using fxdist::bench::TimePasses;
 
 namespace {
 
@@ -57,18 +65,9 @@ struct RunConfig {
   std::size_t batch_size = 128;
   double zipf_theta = 1.1;
   std::uint64_t seed = 42;
+  /// Timed passes per rate cell (the median is reported).
+  std::size_t passes = 5;
 };
-
-double NowMs() {
-  return std::chrono::duration<double, std::milli>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
-double Qps(std::size_t queries, double wall_ms) {
-  return wall_ms <= 0.0 ? 0.0
-                        : static_cast<double>(queries) / (wall_ms / 1e3);
-}
 
 Schema BenchSchema() {
   return Schema::Create({{"f0", ValueType::kInt64, 8},
@@ -135,11 +134,10 @@ std::unique_ptr<StorageBackend> MakeSharded(const std::string& kind,
 // calling a ShardService in-process.  Each query pays the full
 // encode/decode path, so an identical result here certifies the codec
 // and the twin-placement handshake, and the qps gap against
-// sharded(flat) is the serialization cost itself.  The serial flavour
-// forces the classic v1 dialect (one blocking round trip per bucket —
-// the pre-pipelining baseline); the pipelined flavour negotiates v2 over
-// a multiplexed frame channel, so a batch crosses as one kScanMany frame
-// per shard with requests overlapping in flight.
+// sharded(flat) is the serialization cost itself.  Both flavours speak
+// the same wire; the serial one calls the service through a plain
+// LoopbackTransport (one request at a time), the pipelined one through
+// a MuxTransport over a frame channel, so requests overlap in flight.
 std::unique_ptr<StorageBackend> MakeLoopbackRemote(const Schema& schema,
                                                    const RunConfig& config,
                                                    bool pipelined) {
@@ -151,16 +149,14 @@ std::unique_ptr<StorageBackend> MakeLoopbackRemote(const Schema& schema,
     const auto handler = [local, service](const std::string& request) {
       return service->HandleFrame(request);
     };
-    RemoteBackend::Options options;
     std::unique_ptr<Transport> transport;
     if (pipelined) {
       transport = std::make_unique<MuxTransport>(
           std::make_unique<LoopbackFrameChannel>(handler));
     } else {
-      options.force_wire_v1 = true;
       transport = std::make_unique<LoopbackTransport>(handler);
     }
-    auto remote = RemoteBackend::Connect(std::move(transport), options);
+    auto remote = RemoteBackend::Connect(std::move(transport));
     if (!remote.ok()) {
       std::fprintf(stderr, "loopback remote connect failed: %s\n",
                    remote.status().ToString().c_str());
@@ -223,11 +219,13 @@ bool IdentityBench(const RunConfig& config) {
   }
 
   std::printf("Composite plane: %zu queries (%zu Zipf %.1f templates), "
-              "batches of %zu, M=%llu, %llu records\n\n",
+              "batches of %zu, M=%llu, %llu records; qps = median of %zu "
+              "passes [p90-p10]\n\n",
               config.num_queries, config.num_templates, config.zipf_theta,
               config.batch_size,
               static_cast<unsigned long long>(config.num_devices),
-              static_cast<unsigned long long>(config.num_records));
+              static_cast<unsigned long long>(config.num_records),
+              config.passes);
   TablePrinter table({"composite", "mono qps", "composite qps",
                       "engine qps", "identical"});
   bool all_identical = true;
@@ -245,7 +243,7 @@ bool IdentityBench(const RunConfig& config) {
     rows.push_back({"sharded(" + kind + ")", kind,
                     MakeSharded(kind, schema, config)});
   }
-  rows.push_back({"remote(serial-v1)", "flat",
+  rows.push_back({"remote(serial)", "flat",
                   MakeLoopbackRemote(schema, config, /*pipelined=*/false)});
   rows.push_back({"remote(pipelined)", "flat",
                   MakeLoopbackRemote(schema, config, /*pipelined=*/true)});
@@ -281,36 +279,38 @@ bool IdentityBench(const RunConfig& config) {
       (void)row.composite->Execute(stream[i]).value();
     }
 
-    std::vector<QueryResult> mono_serial;
-    mono_serial.reserve(stream.size());
-    const double mono_start = NowMs();
-    for (const ValueQuery& q : stream) {
-      mono_serial.push_back(mono->Execute(q).value());
-    }
-    const double mono_ms = NowMs() - mono_start;
+    // Every pass overwrites the same slots, so the identity gate below
+    // checks the last pass of each path.
+    std::vector<QueryResult> mono_serial(stream.size());
+    const PassTimes mono_t = TimePasses(config.passes, [&] {
+      for (std::size_t i = 0; i < stream.size(); ++i) {
+        mono_serial[i] = mono->Execute(stream[i]).value();
+      }
+    });
 
-    std::vector<QueryResult> composite_serial;
-    composite_serial.reserve(stream.size());
-    const double composite_start = NowMs();
-    for (const ValueQuery& q : stream) {
-      composite_serial.push_back(row.composite->Execute(q).value());
-    }
-    const double composite_ms = NowMs() - composite_start;
+    std::vector<QueryResult> composite_serial(stream.size());
+    const PassTimes composite_t = TimePasses(config.passes, [&] {
+      for (std::size_t i = 0; i < stream.size(); ++i) {
+        composite_serial[i] = row.composite->Execute(stream[i]).value();
+      }
+    });
 
     QueryEngine engine(*row.composite, options);
-    std::vector<QueryResult> batched;
-    batched.reserve(stream.size());
-    const double engine_start = NowMs();
-    for (std::size_t begin = 0; begin < stream.size();
-         begin += config.batch_size) {
-      const std::size_t end =
-          std::min(stream.size(), begin + config.batch_size);
-      std::vector<ValueQuery> batch(stream.begin() + begin,
-                                    stream.begin() + end);
-      auto results = engine.ExecuteBatch(batch);
-      for (QueryResult& r : *results) batched.push_back(std::move(r));
-    }
-    const double engine_ms = NowMs() - engine_start;
+    std::vector<QueryResult> batched(stream.size());
+    const PassTimes engine_t = TimePasses(config.passes, [&] {
+      for (std::size_t begin = 0; begin < stream.size();
+           begin += config.batch_size) {
+        const std::size_t end =
+            std::min(stream.size(), begin + config.batch_size);
+        std::vector<ValueQuery> batch(stream.begin() + begin,
+                                      stream.begin() + end);
+        auto results = engine.ExecuteBatch(batch).value();
+        for (std::size_t i = 0; i < results.size(); ++i) {
+          batched[begin + i] = std::move(results[i]);
+        }
+      }
+    });
+    const double engine_qps = Rate(stream.size(), engine_t.median_ms);
 
     bool identical = batched.size() == stream.size();
     for (std::size_t i = 0; identical && i < stream.size(); ++i) {
@@ -318,22 +318,21 @@ bool IdentityBench(const RunConfig& config) {
                   SameResult(batched[i], mono_serial[i]);
     }
     all_identical = all_identical && identical;
-    if (row.label == "remote(serial-v1)") {
-      serial_remote_engine_qps = Qps(stream.size(), engine_ms);
+    if (row.label == "remote(serial)") {
+      serial_remote_engine_qps = engine_qps;
     } else if (row.label == "remote(pipelined)") {
-      pipelined_remote_engine_qps = Qps(stream.size(), engine_ms);
+      pipelined_remote_engine_qps = engine_qps;
     } else if (row.label == "sharded(flat)") {
-      local_sharded_engine_qps = Qps(stream.size(), engine_ms);
+      local_sharded_engine_qps = engine_qps;
     }
-    table.AddRow({row.label,
-                  TablePrinter::Cell(Qps(stream.size(), mono_ms), 0),
-                  TablePrinter::Cell(Qps(stream.size(), composite_ms), 0),
-                  TablePrinter::Cell(Qps(stream.size(), engine_ms), 0),
+    table.AddRow({row.label, RateCell(stream.size(), mono_t),
+                  RateCell(stream.size(), composite_t),
+                  RateCell(stream.size(), engine_t),
                   identical ? "yes" : "NO"});
   }
   table.Print(std::cout);
   if (serial_remote_engine_qps > 0.0 && local_sharded_engine_qps > 0.0) {
-    std::printf("\nremote(pipelined) engine throughput: %.1fx the serial v1 "
+    std::printf("\nremote(pipelined) engine throughput: %.1fx the serial "
                 "remote, %.2fx local sharded(flat)\n",
                 pipelined_remote_engine_qps / serial_remote_engine_qps,
                 pipelined_remote_engine_qps / local_sharded_engine_qps);
@@ -465,6 +464,7 @@ int main(int argc, char** argv) {
       config.num_records = 1500;
       config.num_queries = 160;
       config.batch_size = 48;
+      config.passes = 1;
     }
   }
   const bool identity_ok = IdentityBench(config);

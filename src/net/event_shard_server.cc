@@ -384,8 +384,8 @@ void EventShardServer::PoisonConn(Conn& conn, const Status& status) {
     std::lock_guard<std::mutex> lock(stats_mutex_);
     ++stats_.protocol_errors;
   }
-  // The stream is unframed beyond repair: answer (echoing whatever
-  // version/correlation prefix survives in the buffer), flush, close.
+  // The stream is unframed beyond repair: answer (echoing the
+  // correlation id if the buffered prefix still shows one), flush, close.
   conn.write_buf.append(
       EncodeShardErrorReplyFor(conn.reassembler.buffered(), status));
   conn.closing = true;

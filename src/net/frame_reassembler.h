@@ -1,14 +1,14 @@
 // Incremental wire-frame reassembly for readiness-driven readers.
 //
-// The blocking transports pull exactly one frame at a time with
-// recv-exact loops; an event-driven reader instead gets arbitrary byte
+// A blocking reader pulls exactly one frame at a time with recv-exact
+// loops; an event-driven reader instead gets arbitrary byte
 // chunks whenever the socket is readable — half a header, three frames
 // and a tail, one byte at a time from a slow peer.  FrameReassembler
 // turns that stream back into complete frames without ever blocking:
 //
 //   * Feed() appends bytes and extracts every complete frame, using the
 //     same header validation as the blocking readers
-//     (WireHeaderSizeFromPrefix + FrameSizeFromHeader), so an announced
+//     (FrameSizeFromHeader), so an announced
 //     length over the cap is rejected before any allocation is sized
 //     from it.
 //   * A malformed prefix (bad magic/version, over-limit length) poisons
@@ -57,20 +57,15 @@ class FrameReassembler {
   bool mid_frame() const { return poisoned_.ok() && !buffer_.empty(); }
 
   /// Bytes currently buffered (partial frame, or the rejected prefix
-  /// after poisoning — kept so the caller can echo version/correlation
-  /// id in its error reply).
+  /// after poisoning — kept so the caller can echo the correlation id in
+  /// its error reply).
   const std::string& buffered() const { return buffer_; }
 
   /// The sticky error, or OK.
   const Status& poisoned() const { return poisoned_; }
 
-  /// Raises/lowers the per-frame payload cap (handshake negotiation).
-  void set_max_payload(std::uint32_t max_payload) {
-    max_payload_ = max_payload;
-  }
-
  private:
-  std::uint32_t max_payload_;
+  const std::uint32_t max_payload_;
   std::string buffer_;
   Status poisoned_;
 };

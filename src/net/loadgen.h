@@ -3,7 +3,9 @@
 //
 // RunQueryFanIn opens `clients` concurrent TCP connections (driven by
 // `threads` OS threads, blocking I/O — the *server* under test is the
-// event-driven part) and plays `waves` query round trips on each.  The
+// event-driven part) and plays `waves` query round trips on each, one
+// kExecute frame in flight per connection, so every request can carry
+// correlation id 0.  The
 // query stream is deterministic: connection c's wave w executes
 // queries[(w * clients + c) % queries.size()], so two runs with the
 // same clients*waves total execute the same query multiset and any two
@@ -87,8 +89,9 @@ Result<ProbeResult> ProbeConnection(const std::string& host,
 /// hard limit).  Returns the resulting soft limit.
 std::uint64_t TryRaiseNoFileLimit(std::uint64_t want);
 
-/// Encodes a v1 kExecute request frame for `query` — the loadgen's unit
-/// of work, exposed for tests that drive connections by hand.
+/// Encodes a kExecute request frame (correlation id 0) for `query` — the
+/// loadgen's unit of work, exposed for tests that drive connections by
+/// hand.
 std::string EncodeExecuteFrame(const ValueQuery& query);
 
 }  // namespace fxdist

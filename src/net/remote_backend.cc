@@ -16,39 +16,18 @@ Result<std::unique_ptr<RemoteBackend>> RemoteBackend::Connect(
     std::unique_ptr<Transport> transport, Options options) {
   std::unique_ptr<RemoteBackend> backend(
       new RemoteBackend(std::move(transport), std::move(options)));
-  if (!backend->options_.force_wire_v1) {
-    backend->wire_version_ = kWireVersionMux;
-    PayloadWriter hello;
-    hello.U64(kWireMaxPayload);
-    hello.U32(kWireFeatureScanMany | kWireFeatureInsertBatch |
-              kWireFeatureAnalyzeRange);
-    // Optional trailing tenant id (only sent when set): current servers
-    // read it when present; a pre-front-door v2 server rejects the
-    // longer hello, which lands in the v1 fallback below — anonymous but
-    // functional, the right degradation for an id only QoS-aware
-    // servers use.
-    if (!backend->options_.client_id.empty()) {
-      hello.Str(backend->options_.client_id);
-    }
-    auto body = backend->Call(WireOp::kHandshake, hello.Take(),
-                              /*idempotent=*/true, /*max_attempts_override=*/1);
-    if (body.ok()) {
-      FXDIST_RETURN_NOT_OK(backend->FinishHandshake(*body, /*v2=*/true));
-      return backend;
-    }
-    // A v1 server rejects the v2 frame at the header: an InvalidArgument
-    // error reply on a plain transport, or DataLoss through a mux whose
-    // receiver finds an unsolicited v1 frame.  Fall back to the classic
-    // dialect — a genuinely dead shard fails the v1 handshake too.
-    std::lock_guard<std::mutex> lock(backend->mutex_);
-    backend->terminal_.clear();
+  PayloadWriter hello;
+  hello.U64(kWireMaxPayload);
+  hello.U32(kWireFeatureScanMany | kWireFeatureInsertBatch |
+            kWireFeatureAnalyzeRange);
+  // Optional trailing tenant id, sent only when set.
+  if (!backend->options_.client_id.empty()) {
+    hello.Str(backend->options_.client_id);
   }
-  backend->wire_version_ = kWireVersion;
-  backend->features_ = 0;
-  backend->negotiated_max_payload_ = kWireMaxPayload;
-  auto body = backend->Call(WireOp::kHandshake, "", /*idempotent=*/true);
+  auto body = backend->Call(WireOp::kHandshake, hello.Take(),
+                            /*idempotent=*/true);
   FXDIST_RETURN_NOT_OK(body.status());
-  FXDIST_RETURN_NOT_OK(backend->FinishHandshake(*body, /*v2=*/false));
+  FXDIST_RETURN_NOT_OK(backend->FinishHandshake(*body));
   return backend;
 }
 
@@ -56,45 +35,42 @@ Result<std::unique_ptr<RemoteBackend>> RemoteBackend::ConnectTcp(
     const std::string& host_port, Options options) {
   SocketTransportOptions socket_options;
   socket_options.io_timeout_ms = options.deadline_ms;
-  if (options.pipeline_window > 1 && !options.force_wire_v1) {
-    auto channel = SocketFrameChannel::ConnectSpec(host_port, socket_options);
-    FXDIST_RETURN_NOT_OK(channel.status());
-    MuxTransportOptions mux_options;
-    mux_options.window = options.pipeline_window;
-    mux_options.call_timeout_ms =
-        static_cast<std::uint64_t>(std::max(1, options.deadline_ms));
-    return Connect(std::make_unique<MuxTransport>(*std::move(channel),
-                                                  mux_options),
-                   std::move(options));
-  }
-  auto transport = SocketTransport::ConnectSpec(host_port, socket_options);
-  FXDIST_RETURN_NOT_OK(transport.status());
-  return Connect(*std::move(transport), std::move(options));
+  auto channel = SocketFrameChannel::ConnectSpec(host_port, socket_options);
+  FXDIST_RETURN_NOT_OK(channel.status());
+  MuxTransportOptions mux_options;
+  mux_options.window = std::max<std::size_t>(1, options.pipeline_window);
+  mux_options.call_timeout_ms =
+      static_cast<std::uint64_t>(std::max(1, options.deadline_ms));
+  return Connect(
+      std::make_unique<MuxTransport>(*std::move(channel), mux_options),
+      std::move(options));
 }
 
-Status RemoteBackend::FinishHandshake(const std::string& body, bool v2) {
+Status RemoteBackend::FinishHandshake(const std::string& body) {
   PayloadReader reader(body);
   auto blueprint = reader.Str();
   FXDIST_RETURN_NOT_OK(blueprint.status());
-  if (v2) {
-    auto server_max = reader.U64();
-    FXDIST_RETURN_NOT_OK(server_max.status());
-    auto features = reader.U32();
-    FXDIST_RETURN_NOT_OK(features.status());
-    FXDIST_RETURN_NOT_OK(reader.ExpectEnd());
-    // Negotiated limit: what both sides accept.  A nonsensical server
-    // advertisement is clamped into [64 KiB, ceiling] rather than
-    // crippling the connection.
-    const std::uint64_t floor = 64u << 10;
-    const std::uint64_t server_limit =
-        std::min<std::uint64_t>(std::max<std::uint64_t>(*server_max, floor),
-                                kWireMaxPayloadCeiling);
-    negotiated_max_payload_ = static_cast<std::uint32_t>(
-        std::min<std::uint64_t>(kWireMaxPayload, server_limit));
-    features_ = *features & (kWireFeatureScanMany | kWireFeatureInsertBatch |
-                             kWireFeatureAnalyzeRange);
-  } else {
-    FXDIST_RETURN_NOT_OK(reader.ExpectEnd());
+  auto server_max = reader.U64();
+  FXDIST_RETURN_NOT_OK(server_max.status());
+  auto features = reader.U32();
+  FXDIST_RETURN_NOT_OK(features.status());
+  FXDIST_RETURN_NOT_OK(reader.ExpectEnd());
+  // Negotiated limit: what both sides accept.  A nonsensical server
+  // advertisement is clamped into [64 KiB, ceiling] rather than
+  // crippling the connection.
+  const std::uint64_t floor = 64u << 10;
+  const std::uint64_t server_limit =
+      std::min<std::uint64_t>(std::max<std::uint64_t>(*server_max, floor),
+                              kWireMaxPayloadCeiling);
+  negotiated_max_payload_ = static_cast<std::uint32_t>(
+      std::min<std::uint64_t>(kWireMaxPayload, server_limit));
+  features_ = *features & (kWireFeatureScanMany | kWireFeatureInsertBatch |
+                           kWireFeatureAnalyzeRange);
+  constexpr std::uint32_t kRequired =
+      kWireFeatureScanMany | kWireFeatureInsertBatch;
+  if ((features_ & kRequired) != kRequired) {
+    return Status::FailedPrecondition(
+        "shard server did not grant the ScanMany and InsertBatch features");
   }
   auto twin = BuildBackendFromBlueprintText(*blueprint);
   if (!twin.ok()) {
@@ -107,8 +83,7 @@ Status RemoteBackend::FinishHandshake(const std::string& body, bool v2) {
 }
 
 Result<std::string> RemoteBackend::Call(WireOp op, std::string payload,
-                                        bool idempotent,
-                                        int max_attempts_override) const {
+                                        bool idempotent) const {
   {
     std::lock_guard<std::mutex> lock(mutex_);
     if (!poisoned_.empty()) return Status::FailedPrecondition(poisoned_);
@@ -119,11 +94,8 @@ Result<std::string> RemoteBackend::Call(WireOp op, std::string payload,
   request.op = op;
   request.is_reply = false;
   request.payload = std::move(payload);
-  request.version = wire_version_;
 
-  const int max_attempts = max_attempts_override > 0
-                               ? max_attempts_override
-                               : std::max(1, options_.max_attempts);
+  const int max_attempts = std::max(1, options_.max_attempts);
 
   // Decorrelated-jitter backoff: each retry sleeps uniform(initial,
   // 3 * previous sleep), capped at backoff_max and at whatever is left
@@ -168,9 +140,7 @@ Result<std::string> RemoteBackend::Call(WireOp op, std::string payload,
 
     // A fresh correlation id per attempt: a late reply to an abandoned
     // attempt is dropped as stale instead of completing this one.
-    if (wire_version_ == kWireVersionMux) {
-      request.correlation_id = seq_.fetch_add(1, std::memory_order_relaxed);
-    }
+    request.correlation_id = seq_.fetch_add(1, std::memory_order_relaxed);
     auto request_bytes = EncodeFrameBounded(request, negotiated_max_payload_);
     if (!request_bytes.ok()) {
       // Oversized payload is a caller-level error, not a transport
@@ -192,12 +162,7 @@ Result<std::string> RemoteBackend::Call(WireOp op, std::string payload,
         failure = Status::DataLoss(
             std::string("protocol desync: expected a ") + WireOpName(op) +
             " reply, got " + WireOpName(reply->op));
-      } else if (reply->op != WireOp::kError &&
-                 wire_version_ == kWireVersionMux &&
-                 (reply->version != kWireVersionMux ||
-                  reply->correlation_id != request.correlation_id)) {
-        // kError replies are exempt: a v1 peer rejecting our dialect can
-        // only answer with an uncorrelated v1 frame.
+      } else if (reply->correlation_id != request.correlation_id) {
         failure = Status::DataLoss(
             "correlation id mismatch: request " +
             std::to_string(request.correlation_id) + ", reply " +
@@ -321,21 +286,11 @@ Status RemoteBackend::InsertBatch(std::vector<Record> records) {
 
 Status RemoteBackend::InsertBatchTagged(std::vector<Record> records,
                                         std::uint64_t token) {
-  if (wire_version_ != kWireVersionMux || !insert_batch_enabled()) {
-    return Status::Unimplemented(
-        "remote peer has no InsertBatch feature; tagged exactly-once "
-        "ingest needs the server-side dedup registry");
-  }
   return InsertBatchImpl(std::move(records), &token);
 }
 
 Status RemoteBackend::InsertBatchImpl(std::vector<Record> records,
                                       const std::uint64_t* token) {
-  if (wire_version_ != kWireVersionMux || !insert_batch_enabled()) {
-    // Pre-InsertBatch peer: the default per-record loop (one kInsert
-    // round trip each).
-    return StorageBackend::InsertBatch(std::move(records));
-  }
   {
     std::lock_guard<std::mutex> lock(mutex_);
     scan_pins_.clear();
@@ -487,12 +442,6 @@ void RemoteBackend::ScanBucket(
 void RemoteBackend::ScanMany(
     const std::vector<BucketRef>& refs,
     const std::function<bool(std::size_t, const Record&)>& fn) const {
-  if (wire_version_ != kWireVersionMux || !scan_many_enabled()) {
-    // Pre-ScanMany peer: the default per-bucket gather (one kScanBucket
-    // round trip per ref).
-    StorageBackend::ScanMany(refs, fn);
-    return;
-  }
   const std::size_t chunk =
       std::max<std::size_t>(1, options_.scan_many_chunk);
   for (std::size_t start = 0; start < refs.size(); start += chunk) {
@@ -641,7 +590,7 @@ Status RemoteBackend::MarkUp(std::uint64_t device) {
 Result<RangePartial> RemoteBackend::AnalyzeRange(
     std::uint64_t unspecified_mask, std::uint64_t start,
     std::uint64_t end) const {
-  if (wire_version_ != kWireVersionMux || !analyze_range_enabled()) {
+  if (!analyze_range_enabled()) {
     return Status::Unimplemented(
         "remote peer has no AnalyzeRange feature; run AnalyzeBucketRange "
         "on device_map() instead");

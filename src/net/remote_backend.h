@@ -10,18 +10,17 @@
 // counts) goes over the wire.  This is what lets a ShardedBackend treat
 // a remote shard exactly like a local child.
 //
-// Wire dialect: the client first offers a v2 handshake (correlation ids
-// in every frame, frame-limit + feature negotiation in the payload).  A
-// v1 server rejects the v2 frame at the header; the client falls back to
-// the classic v1 dialect — serial frames, no ScanMany — so old peers
-// keep working unchanged.  Against a v2 server every request carries a
-// fresh correlation id (new id per retry attempt, so a late reply to an
-// abandoned attempt can never complete a newer one) and the reply must
-// echo it; a mismatch is DataLoss.  Payloads are bounded by the
-// negotiated frame limit on both sides.  When the server granted the
-// ScanMany feature, the batched scatter-gather op crosses the wire as
-// one kScanMany frame per chunk of bucket refs instead of one
-// kScanBucket frame per bucket.
+// Wire: one handshake round trip negotiates the frame limit and the
+// features.  Connect fails with FailedPrecondition unless the server
+// grants ScanMany and InsertBatch; AnalyzeRange stays optional.  Every
+// request carries a fresh correlation id (new id per retry attempt, so a
+// late reply to an abandoned attempt can never complete a newer one) and
+// the reply — an error reply included — must echo it; a mismatch is
+// DataLoss.  Payloads are bounded by the negotiated frame limit on both
+// sides.  The batched scatter-gather op crosses the wire as one
+// kScanMany frame per chunk of bucket refs, and a batch insert as one
+// kInsertBatch frame per chunk of records; only a chunk whose frame
+// outgrows the limit falls back to per-bucket / per-record frames.
 //
 // Failure semantics (the transport taxonomy, net/transport.h):
 //   * Unavailable replies are retried for every operation (the request
@@ -84,22 +83,18 @@ struct RemoteBackendOptions {
   /// Test hook: replaces this_thread::sleep_for when set.  Receives the
   /// chosen sleep in milliseconds.
   std::function<void(std::uint64_t)> sleep_fn;
-  /// Forces the classic v1 dialect (no correlation ids, no ScanMany) —
-  /// the PR 4 serial baseline for benches and compatibility tests.
-  bool force_wire_v1 = false;
   /// Bucket refs per kScanMany frame; a chunk whose reply outgrows the
   /// frame limit falls back to per-bucket scans.
   std::size_t scan_many_chunk = 512;
   /// Records per kInsertBatch frame; a chunk whose request outgrows the
   /// frame limit falls back to per-record inserts.
   std::size_t insert_batch_chunk = 512;
-  /// In-flight window when ConnectTcp builds a multiplexed connection;
-  /// 1 keeps the plain blocking SocketTransport.
+  /// In-flight window of the MuxTransport ConnectTcp builds (0 acts as
+  /// 1, which serializes the connection's calls).
   std::size_t pipeline_window = 32;
-  /// Tenant identity announced in the v2 handshake (trailing optional
-  /// field — old servers that stop reading at the feature word still
-  /// interoperate).  Empty means anonymous; servers use it for per-
-  /// client admission/QoS accounting, never for placement.
+  /// Tenant identity announced in the handshake (a trailing optional
+  /// field, sent only when set).  Empty means anonymous; servers use it
+  /// for per-client admission/QoS accounting, never for placement.
   std::string client_id;
 };
 
@@ -107,14 +102,15 @@ class RemoteBackend final : public StorageBackend {
  public:
   using Options = RemoteBackendOptions;
 
-  /// Performs the handshake over `transport` (v2 first, v1 fallback) and
-  /// builds the local twin.
+  /// Performs the handshake over `transport` and builds the local twin.
+  /// FailedPrecondition when the server withholds ScanMany or
+  /// InsertBatch.
   static Result<std::unique_ptr<RemoteBackend>> Connect(
       std::unique_ptr<Transport> transport, Options options = {});
 
-  /// Dials "host:port", then Connect().  With pipeline_window > 1 the
-  /// connection is a MuxTransport over a SocketFrameChannel (requests
-  /// overlap on the wire); window 1 keeps the blocking SocketTransport.
+  /// Dials "host:port", then Connect().  The connection is a
+  /// MuxTransport over a SocketFrameChannel: up to pipeline_window
+  /// requests overlap on the wire.
   static Result<std::unique_ptr<RemoteBackend>> ConnectTcp(
       const std::string& host_port, Options options = {});
 
@@ -149,10 +145,9 @@ class RemoteBackend final : public StorageBackend {
   // -- Storage plane: one round trip each ------------------------------
   std::uint64_t num_records() const override;
   Status Insert(Record record) override;
-  /// One kInsertBatch frame per chunk when the server granted the
-  /// feature (a migration copy crosses the wire as a handful of frames
-  /// instead of one per record); per-record kInsert round trips
-  /// otherwise.
+  /// One kInsertBatch frame per chunk (a migration copy crosses the wire
+  /// as a handful of frames instead of one per record); a chunk whose
+  /// frame outgrows the limit is inserted record by record.
   Status InsertBatch(std::vector<Record> records) override;
   /// InsertBatch with a caller-chosen dedup token: the server remembers
   /// the token with the applied count, so a chunk whose ack was lost can
@@ -162,8 +157,7 @@ class RemoteBackend final : public StorageBackend {
   /// per-chunk tokens from `token` deterministically; the same (records,
   /// token, chunk size) always re-sends identical tagged chunks.  No
   /// per-record fallback: a chunk the frame limit cannot carry is an
-  /// error (pick a smaller insert_batch_chunk).  Requires the server's
-  /// InsertBatch feature; Unimplemented otherwise.
+  /// error (pick a smaller insert_batch_chunk).
   Status InsertBatchTagged(std::vector<Record> records, std::uint64_t token);
   Result<std::uint64_t> Delete(const ValueQuery& query) override;
   bool IsBucketLive(std::uint64_t device,
@@ -171,8 +165,8 @@ class RemoteBackend final : public StorageBackend {
   void ScanBucket(
       std::uint64_t device, std::uint64_t linear_bucket,
       const std::function<bool(const Record&)>& fn) const override;
-  /// One kScanMany frame per chunk when the server granted the feature;
-  /// per-bucket kScanBucket round trips otherwise.
+  /// One kScanMany frame per chunk; a chunk whose reply outgrows the
+  /// frame limit is gathered with per-bucket kScanBucket round trips.
   void ScanMany(
       const std::vector<BucketRef>& refs,
       const std::function<bool(std::size_t, const Record&)>& fn)
@@ -218,14 +212,7 @@ class RemoteBackend final : public StorageBackend {
                                     std::uint64_t start,
                                     std::uint64_t end) const;
 
-  /// Negotiated dialect — diagnostics and tests.
-  std::uint16_t wire_version() const { return wire_version_; }
-  bool scan_many_enabled() const {
-    return (features_ & kWireFeatureScanMany) != 0;
-  }
-  bool insert_batch_enabled() const {
-    return (features_ & kWireFeatureInsertBatch) != 0;
-  }
+  /// Negotiated optional feature and frame limit — diagnostics and tests.
   bool analyze_range_enabled() const {
     return (features_ & kWireFeatureAnalyzeRange) != 0;
   }
@@ -247,15 +234,14 @@ class RemoteBackend final : public StorageBackend {
       : transport_(std::move(transport)), options_(std::move(options)) {}
 
   /// One operation: encode, round-trip with retries, decode the reply
-  /// status, return the body.  `idempotent` selects the retry policy;
-  /// `max_attempts_override` (> 0) caps tries below options_ (the
-  /// handshake probe uses 1 so an old server is detected, not retried).
-  Result<std::string> Call(WireOp op, std::string payload, bool idempotent,
-                           int max_attempts_override = 0) const;
-  /// Parses a handshake reply body and builds the twin; records the
-  /// negotiated limit and features (v2 replies carry them).
-  Status FinishHandshake(const std::string& body, bool v2);
-  /// The per-bucket gather used by ScanBucket and the ScanMany fallback.
+  /// status, return the body.  `idempotent` selects the retry policy.
+  Result<std::string> Call(WireOp op, std::string payload,
+                           bool idempotent) const;
+  /// Parses a handshake reply body, records the negotiated limit and
+  /// features, and builds the twin.
+  Status FinishHandshake(const std::string& body);
+  /// The per-bucket gather used by ScanBucket and by ScanMany for a
+  /// chunk too large for one frame.
   void ScanBucketRemote(std::uint64_t device, std::uint64_t linear_bucket,
                         const std::function<bool(const Record&)>& fn) const;
   /// Parses the bucket-space shape every mutation reply echoes and
@@ -275,7 +261,6 @@ class RemoteBackend final : public StorageBackend {
   ReplicatedBackend* twin_replicated_ = nullptr;
 
   /// Set during Connect, immutable afterwards.
-  std::uint16_t wire_version_ = kWireVersionMux;
   std::uint32_t features_ = 0;
   std::uint32_t negotiated_max_payload_ = kWireMaxPayload;
 
@@ -283,8 +268,8 @@ class RemoteBackend final : public StorageBackend {
   /// mux's stale-reply tracking relies on it).
   mutable std::atomic<std::uint64_t> seq_{1};
 
-  /// Highest authoritative epoch any reply has echoed (0 until a v2
-  /// epoch-echoing server answers a mutation or topology probe).
+  /// Highest authoritative epoch any reply has echoed (0 until the
+  /// server answers a mutation or topology probe).
   mutable std::atomic<std::uint64_t> server_epoch_{0};
 
   /// Guards the sticky failure state and the scan pins.  NOT held over

@@ -18,26 +18,6 @@ namespace fxdist {
 
 namespace {
 
-std::uint16_t LoadU16(const char* p) {
-  const auto* b = reinterpret_cast<const unsigned char*>(p);
-  return static_cast<std::uint16_t>(static_cast<std::uint16_t>(b[0]) |
-                                    static_cast<std::uint16_t>(b[1]) << 8);
-}
-
-std::uint32_t LoadU32(const char* p) {
-  const auto* b = reinterpret_cast<const unsigned char*>(p);
-  std::uint32_t v = 0;
-  for (int i = 3; i >= 0; --i) v = (v << 8) | static_cast<std::uint32_t>(b[i]);
-  return v;
-}
-
-std::uint64_t LoadU64(const char* p) {
-  const auto* b = reinterpret_cast<const unsigned char*>(p);
-  std::uint64_t v = 0;
-  for (int i = 7; i >= 0; --i) v = (v << 8) | static_cast<std::uint64_t>(b[i]);
-  return v;
-}
-
 /// writer.Take() with the satellite-2 overflow check applied: a payload
 /// whose length field could not be represented never leaves the server
 /// as a well-formed-but-wrong frame.
@@ -49,7 +29,7 @@ Result<std::string> Finish(PayloadWriter& writer) {
 }  // namespace
 
 std::string EncodeShardReply(WireOp op, const Status& status,
-                             const std::string& body, std::uint16_t version,
+                             const std::string& body,
                              std::uint64_t correlation_id) {
   PayloadWriter writer;
   writer.WriteStatus(status);
@@ -58,22 +38,15 @@ std::string EncodeShardReply(WireOp op, const Status& status,
   reply.is_reply = true;
   reply.payload = writer.Take();
   reply.payload.append(body);
-  reply.version = version;
   reply.correlation_id = correlation_id;
   return EncodeFrame(reply);
 }
 
 std::string EncodeShardErrorReplyFor(std::string_view request,
                                      const Status& status) {
-  std::uint16_t version = kWireVersion;
-  std::uint64_t correlation_id = 0;
-  if (request.size() >= 6 && LoadU32(request.data()) == kWireMagic &&
-      LoadU16(request.data() + 4) == kWireVersionMux) {
-    version = kWireVersionMux;
-    if (request.size() >= 16) correlation_id = LoadU64(request.data() + 8);
-  }
-  return EncodeShardReply(WireOp::kError, status, "", version,
-                          correlation_id);
+  auto correlation_id = WireCorrelationId(request);
+  return EncodeShardReply(WireOp::kError, status, "",
+                          correlation_id.ok() ? *correlation_id : 0);
 }
 
 ShardService::ShardService(StorageBackend& backend)
@@ -96,9 +69,9 @@ std::string ShardService::HandleFrame(const std::string& request) {
         Status::InvalidArgument("request expected, got a reply frame"));
   }
   PayloadReader reader(frame->payload);
-  auto body = Dispatch(*frame, reader);
+  auto body = Dispatch(frame->op, reader);
   if (!body.ok()) {
-    return EncodeShardReply(frame->op, body.status(), "", frame->version,
+    return EncodeShardReply(frame->op, body.status(), "",
                             frame->correlation_id);
   }
   // A reply the negotiated frame limit cannot carry is refused here —
@@ -110,58 +83,44 @@ std::string ShardService::HandleFrame(const std::string& request) {
             std::string(WireOpName(frame->op)) + " reply of " +
             std::to_string(body->size()) +
             " bytes exceeds the frame payload limit"),
-        "", frame->version, frame->correlation_id);
+        "", frame->correlation_id);
   }
-  return EncodeShardReply(frame->op, Status::OK(), *body, frame->version,
+  return EncodeShardReply(frame->op, Status::OK(), *body,
                           frame->correlation_id);
 }
 
-Result<std::string> ShardService::Dispatch(const WireFrame& frame,
-                                           PayloadReader& reader) {
-  const WireOp op = frame.op;
+Result<std::string> ShardService::Dispatch(WireOp op, PayloadReader& reader) {
   PayloadWriter writer;
   switch (op) {
     case WireOp::kHandshake: {
-      if (frame.version == kWireVersionMux) {
-        // v2 handshake: the client announces its frame limit and feature
-        // wants; the reply carries the blueprint plus this server's
-        // limit and the features it will actually serve.  (A v1 server
-        // never sees this payload — it rejects the v2 frame at the
-        // header, which is the client's cue to fall back.)
-        auto client_max = reader.U64();
-        FXDIST_RETURN_NOT_OK(client_max.status());
-        auto features = reader.U32();
-        FXDIST_RETURN_NOT_OK(features.status());
-        // Optional trailing tenant id (absent from older clients).
-        if (!reader.AtEnd()) {
-          auto client_id = reader.Str();
-          FXDIST_RETURN_NOT_OK(client_id.status());
-          FXDIST_RETURN_NOT_OK(reader.ExpectEnd());
-          if (!client_id->empty()) {
-            std::lock_guard<std::mutex> clients_lock(clients_mutex_);
-            if (std::find(announced_clients_.begin(),
-                          announced_clients_.end(),
-                          *client_id) == announced_clients_.end()) {
-              announced_clients_.push_back(*std::move(client_id));
-            }
+      // The client announces its frame limit and feature wants; the
+      // reply carries the blueprint plus this server's limit and the
+      // features it will actually serve.
+      auto client_max = reader.U64();
+      FXDIST_RETURN_NOT_OK(client_max.status());
+      auto features = reader.U32();
+      FXDIST_RETURN_NOT_OK(features.status());
+      // Optional trailing tenant id (sent only when the client has one).
+      if (!reader.AtEnd()) {
+        auto client_id = reader.Str();
+        FXDIST_RETURN_NOT_OK(client_id.status());
+        FXDIST_RETURN_NOT_OK(reader.ExpectEnd());
+        if (!client_id->empty()) {
+          std::lock_guard<std::mutex> clients_lock(clients_mutex_);
+          if (std::find(announced_clients_.begin(), announced_clients_.end(),
+                        *client_id) == announced_clients_.end()) {
+            announced_clients_.push_back(*std::move(client_id));
           }
         }
-        std::shared_lock<std::shared_mutex> lock(backend_mutex_);
-        // The blueprint describes the *serving plane*: a migrating
-        // wrapper hands out its active plane's construction (the
-        // "migrating" kind itself is a persistence-v4 body, not a wire
-        // blueprint — old readers must get a buildable text, not a
-        // crash).
-        writer.Str(BackendBlueprintText(backend_.ServingPlane()));
-        writer.U64(kWireMaxPayload);
-        writer.U32(*features & (kWireFeatureScanMany |
-                                kWireFeatureInsertBatch |
-                                kWireFeatureAnalyzeRange));
-        return Finish(writer);
       }
-      FXDIST_RETURN_NOT_OK(reader.ExpectEnd());
       std::shared_lock<std::shared_mutex> lock(backend_mutex_);
+      // The blueprint describes the *serving plane*: a migrating wrapper
+      // hands out its active plane's construction (the "migrating" kind
+      // itself is a persistence-v4 body, not a wire blueprint).
       writer.Str(BackendBlueprintText(backend_.ServingPlane()));
+      writer.U64(kWireMaxPayload);
+      writer.U32(*features & (kWireFeatureScanMany | kWireFeatureInsertBatch |
+                              kWireFeatureAnalyzeRange));
       return Finish(writer);
     }
     case WireOp::kInsert: {
@@ -231,11 +190,7 @@ Result<std::string> ShardService::Dispatch(const WireFrame& frame,
     }
     case WireOp::kScanMany: {
       // The batched scatter-gather op: (device, bucket)... in, one
-      // record list per ref out, in request order.  v2-only (the client
-      // learns it from the handshake feature bits).
-      if (frame.version != kWireVersionMux) {
-        return Status::InvalidArgument("ScanMany requires a v2 frame");
-      }
+      // record list per ref out, in request order.
       auto count = reader.U64();
       FXDIST_RETURN_NOT_OK(count.status());
       // Every ref costs 16 payload bytes; a larger count is corruption.
@@ -276,11 +231,6 @@ Result<std::string> ShardService::Dispatch(const WireFrame& frame,
       // The bulk-load / migration-copy op: a record list in, the count
       // and the bucket-space shape out (the same frozen-plane echo as
       // kInsert, checked once per chunk instead of once per record).
-      // v2-only, like ScanMany: the client learns it from the handshake
-      // feature bits.
-      if (frame.version != kWireVersionMux) {
-        return Status::InvalidArgument("InsertBatch requires a v2 frame");
-      }
       auto records = reader.ReadRecords();
       FXDIST_RETURN_NOT_OK(records.status());
       // Optional trailing dedup token (absent from untagged senders): a
@@ -381,12 +331,9 @@ Result<std::string> ShardService::Dispatch(const WireFrame& frame,
     }
     case WireOp::kAnalyzeRange: {
       // Distributed sweep partial: (mask, [start, end)) in, per-device
-      // qualified counts over the range out.  v2-only and feature-
-      // negotiated; a coordinator that was not granted the bit runs the
-      // same AnalyzeBucketRange on its placement twin instead.
-      if (frame.version != kWireVersionMux) {
-        return Status::InvalidArgument("AnalyzeRange requires a v2 frame");
-      }
+      // qualified counts over the range out.  Feature-negotiated; a
+      // coordinator that was not granted the bit runs the same
+      // AnalyzeBucketRange on its placement twin instead.
       auto mask = reader.U64();
       FXDIST_RETURN_NOT_OK(mask.status());
       auto start = reader.U64();
@@ -495,16 +442,7 @@ void ShardServer::ServeConnection(int fd) {
   for (;;) {
     std::string request;
     if (!recv_exact(request, kWireHeaderSize)) break;
-    // Both header layouts share the first kWireHeaderSize bytes; a v2
-    // header needs another 8 before the length field is visible.
-    auto header_size = WireHeaderSizeFromPrefix(request);
-    if (header_size.ok() && *header_size > request.size() &&
-        !recv_exact(request, *header_size - request.size())) {
-      break;
-    }
-    auto total = header_size.ok()
-                     ? FrameSizeFromHeader(request, kWireMaxPayload)
-                     : Result<std::size_t>(header_size.status());
+    auto total = FrameSizeFromHeader(request, kWireMaxPayload);
     // An unframed or oversized request leaves the stream unrecoverable:
     // answer with an error frame and drop the connection.
     if (!total.ok()) {

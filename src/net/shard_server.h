@@ -9,10 +9,13 @@
 //
 // ShardServer puts a ShardService behind a listening TCP socket: an
 // accept loop hands each connection to a small thread pool, and every
-// connection serves frames until its peer disconnects.  Reply payloads
-// always start with an encoded Status; an undecodable request gets a
-// WireOp::kError reply (the stream itself stays framed, so one bad
-// request does not desync the connection).
+// connection serves frames until its peer disconnects.  Every reply
+// echoes its request's correlation id and its payload starts with an
+// encoded Status; an undecodable request gets a WireOp::kError reply
+// (the stream itself stays framed, so one bad request does not desync
+// the connection).  A header the wire layer refuses — bad magic, a
+// version other than kWireVersion, an over-limit length — gets a kError
+// reply and the connection is closed.
 
 #ifndef FXDIST_NET_SHARD_SERVER_H_
 #define FXDIST_NET_SHARD_SERVER_H_
@@ -41,14 +44,13 @@ namespace fxdist {
 /// so both produce byte-identical replies.
 std::string EncodeShardReply(WireOp op, const Status& status,
                              const std::string& body,
-                             std::uint16_t version = kWireVersion,
                              std::uint64_t correlation_id = 0);
 
 /// Error reply for a request that never decoded: best-effort echo of the
-/// request's version and correlation id (a mux client needs the id to
-/// complete the right waiter), falling back to a v1 frame when the
-/// prefix is unreadable.  Also the shed frame the event server sends a
-/// connection over the cap (kResourceExhausted, empty request prefix).
+/// request's correlation id (a mux client needs the id to complete the
+/// right waiter), 0 when the prefix is unreadable.  Also the shed frame
+/// the event server sends a connection over the cap (kResourceExhausted,
+/// empty request prefix).
 std::string EncodeShardErrorReplyFor(std::string_view request,
                                      const Status& status);
 
@@ -63,8 +65,8 @@ class ShardService {
   /// Thread-safe; never throws, never returns an unframed error.
   std::string HandleFrame(const std::string& request);
 
-  /// Distinct tenant ids announced by v2 handshakes so far, in first-
-  /// seen order.  Anonymous clients (no trailing id) are not listed.
+  /// Distinct tenant ids announced by handshakes so far, in first-seen
+  /// order.  Anonymous clients (no trailing id) are not listed.
   std::vector<std::string> AnnouncedClients() const;
 
   /// Most recent distinct kInsertBatch dedup tokens remembered (FIFO
@@ -75,7 +77,7 @@ class ShardService {
   static constexpr std::size_t kMaxRememberedTokens = 65536;
 
  private:
-  Result<std::string> Dispatch(const WireFrame& frame, PayloadReader& reader);
+  Result<std::string> Dispatch(WireOp op, PayloadReader& reader);
 
   StorageBackend& backend_;
   ReplicatedBackend* replicated_;  ///< backend_ downcast, or nullptr

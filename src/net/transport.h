@@ -14,8 +14,9 @@
 //
 // Implementations here: LoopbackTransport calls a handler in-process
 // (deterministic tests, zero sockets) and FaultInjectingTransport wraps
-// any transport to force each failure mode on demand.  The real TCP
-// transport lives in net/socket_transport.h.
+// any transport to force each failure mode on demand.  The TCP
+// connection is a MuxTransport (net/mux_transport.h) over
+// net/socket_transport.h's SocketFrameChannel.
 
 #ifndef FXDIST_NET_TRANSPORT_H_
 #define FXDIST_NET_TRANSPORT_H_

@@ -45,9 +45,25 @@ std::uint64_t LoadU64(const char* p) {
 }
 
 constexpr std::uint8_t kFlagReply = 0x01;
+constexpr std::size_t kCorrelationIdOffset = 8;
+constexpr std::size_t kPayloadLengthOffset = 16;
 
-std::size_t HeaderSizeForVersion(std::uint16_t version) {
-  return version == kWireVersionMux ? kWireHeaderSizeMux : kWireHeaderSize;
+/// Validates magic and version on a prefix of at least `need` bytes.
+Status CheckPrefix(std::string_view prefix, std::size_t need) {
+  if (prefix.size() < need) {
+    return Status::DataLoss("wire header truncated");
+  }
+  if (LoadU32(prefix.data()) != kWireMagic) {
+    return Status::InvalidArgument("bad wire magic");
+  }
+  const std::uint16_t version = LoadU16(prefix.data() + 4);
+  if (version != kWireVersion) {
+    return Status::InvalidArgument("wire version mismatch: peer speaks v" +
+                                   std::to_string(version) +
+                                   ", this build v" +
+                                   std::to_string(kWireVersion));
+  }
+  return Status::OK();
 }
 
 }  // namespace
@@ -94,19 +110,14 @@ std::uint64_t WireChecksum(std::string_view bytes) {
 }
 
 std::string EncodeFrame(const WireFrame& frame) {
-  FXDIST_DCHECK(frame.version == kWireVersion ||
-                frame.version == kWireVersionMux);
   FXDIST_DCHECK(frame.payload.size() <= kWireMaxPayloadCeiling);
   std::string out;
-  out.reserve(HeaderSizeForVersion(frame.version) + frame.payload.size() +
-              kWireChecksumSize);
+  out.reserve(kWireHeaderSize + frame.payload.size() + kWireChecksumSize);
   AppendU32(out, kWireMagic);
-  AppendU16(out, frame.version);
+  AppendU16(out, kWireVersion);
   out.push_back(static_cast<char>(frame.op));
   out.push_back(static_cast<char>(frame.is_reply ? kFlagReply : 0));
-  if (frame.version == kWireVersionMux) {
-    AppendU64(out, frame.correlation_id);
-  }
+  AppendU64(out, frame.correlation_id);
   AppendU32(out, static_cast<std::uint32_t>(frame.payload.size()));
   out.append(frame.payload);
   AppendU64(out, WireChecksum(out));
@@ -126,32 +137,16 @@ Result<std::string> EncodeFrameBounded(const WireFrame& frame,
   return EncodeFrame(frame);
 }
 
-Result<std::size_t> WireHeaderSizeFromPrefix(std::string_view prefix) {
-  if (prefix.size() < 6) {
-    return Status::DataLoss("wire header truncated");
-  }
-  if (LoadU32(prefix.data()) != kWireMagic) {
-    return Status::InvalidArgument("bad wire magic");
-  }
-  const std::uint16_t version = LoadU16(prefix.data() + 4);
-  if (version != kWireVersion && version != kWireVersionMux) {
-    return Status::InvalidArgument("wire version mismatch: peer speaks v" +
-                                   std::to_string(version) +
-                                   ", this build v1/v" +
-                                   std::to_string(kWireVersionMux));
-  }
-  return HeaderSizeForVersion(version);
+Result<std::uint64_t> WireCorrelationId(std::string_view prefix) {
+  FXDIST_RETURN_NOT_OK(CheckPrefix(prefix, kPayloadLengthOffset));
+  return LoadU64(prefix.data() + kCorrelationIdOffset);
 }
 
 Result<std::size_t> FrameSizeFromHeader(std::string_view header,
                                         std::uint32_t max_payload) {
-  auto header_size = WireHeaderSizeFromPrefix(header);
-  FXDIST_RETURN_NOT_OK(header_size.status());
-  if (header.size() < *header_size) {
-    return Status::DataLoss("wire header truncated");
-  }
+  FXDIST_RETURN_NOT_OK(CheckPrefix(header, kWireHeaderSize));
   const std::uint32_t payload_len =
-      LoadU32(header.data() + (*header_size - 4));
+      LoadU32(header.data() + kPayloadLengthOffset);
   const std::uint64_t limit =
       std::min<std::uint64_t>(max_payload, kWireMaxPayloadCeiling);
   if (payload_len > limit) {
@@ -163,7 +158,7 @@ Result<std::size_t> FrameSizeFromHeader(std::string_view header,
                             " exceeds the frame limit of " +
                             std::to_string(limit));
   }
-  return *header_size + payload_len + kWireChecksumSize;
+  return kWireHeaderSize + payload_len + kWireChecksumSize;
 }
 
 Result<WireFrame> DecodeFrame(std::string_view bytes,
@@ -184,13 +179,9 @@ Result<WireFrame> DecodeFrame(std::string_view bytes,
   WireFrame frame;
   frame.op = *op;
   frame.is_reply = (static_cast<std::uint8_t>(bytes[7]) & kFlagReply) != 0;
-  frame.version = LoadU16(bytes.data() + 4);
-  std::size_t header_size = kWireHeaderSize;
-  if (frame.version == kWireVersionMux) {
-    frame.correlation_id = LoadU64(bytes.data() + 8);
-    header_size = kWireHeaderSizeMux;
-  }
-  frame.payload.assign(bytes.data() + header_size, body - header_size);
+  frame.correlation_id = LoadU64(bytes.data() + kCorrelationIdOffset);
+  frame.payload.assign(bytes.data() + kWireHeaderSize,
+                       body - kWireHeaderSize);
   return frame;
 }
 

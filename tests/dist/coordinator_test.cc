@@ -13,6 +13,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <condition_variable>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -39,12 +40,32 @@ Schema TestSchema() {
       .value();
 }
 
+/// One-shot signal between stub workers; waits are bounded so a broken
+/// schedule fails the test's assertions instead of hanging it.
+class Latch {
+ public:
+  void Open() {
+    std::lock_guard<std::mutex> lock(mutex_);
+    open_ = true;
+    cv_.notify_all();
+  }
+  void Wait() {
+    std::unique_lock<std::mutex> lock(mutex_);
+    cv_.wait_for(lock, std::chrono::seconds(5), [this] { return open_; });
+  }
+
+ private:
+  std::mutex mutex_;
+  std::condition_variable cv_;
+  bool open_ = false;
+};
+
 /// In-memory DistWorker: real analysis kernel over a shared placement,
 /// record store with the same dedup-token contract as ShardService, and
 /// knobs for every failure mode the scheduler must survive.  The
 /// coordinator drives each worker from one thread; tests only read the
 /// mutable state after BulkLoad/Sweep returned (all threads joined), so
-/// no locking is needed.
+/// no locking is needed beyond the cross-worker Latch.
 class StubWorker final : public DistWorker {
  public:
   StubWorker(std::string name, const DeviceMap* map)
@@ -73,6 +94,10 @@ class StubWorker final : public DistWorker {
   Result<RangePartial> Analyze(std::uint64_t mask, std::uint64_t start,
                                std::uint64_t end) override {
     ++analyze_calls;
+    if (analyze_calls == 1) {
+      if (first_analyze_started != nullptr) first_analyze_started->Open();
+      if (first_analyze_waits_for != nullptr) first_analyze_waits_for->Wait();
+    }
     if (analyze_delay.count() > 0 && analyze_calls == 1) {
       std::this_thread::sleep_for(analyze_delay);
     }
@@ -97,6 +122,8 @@ class StubWorker final : public DistWorker {
   int fail_analyze_after = -1;
   bool analyze_unimplemented = false;
   std::chrono::milliseconds analyze_delay{0};  ///< first call only
+  Latch* first_analyze_started = nullptr;    ///< opened by the first call
+  Latch* first_analyze_waits_for = nullptr;  ///< first call waits on it
   int ingest_calls = 0;
   int analyze_calls = 0;
   std::vector<Record> applied;
@@ -344,6 +371,11 @@ TEST(DistLeaseTest, ExpiredAnalyzeLeaseIsStolenFirstCompletionWins) {
   // Worker 0 stalls far past its lease on its first range; worker 1
   // must steal it.  Worker 0's late result is then discarded — the
   // merged integers stay correct (no double merge of the stolen range).
+  // Worker 1 starts its first range only once worker 0 holds one, so it
+  // can never drain the whole table first and leave nothing to steal.
+  Latch worker0_claimed;
+  fleet.stubs[0]->first_analyze_started = &worker0_claimed;
+  fleet.stubs[1]->first_analyze_waits_for = &worker0_claimed;
   fleet.stubs[0]->analyze_delay = std::chrono::milliseconds(400);
   CoordinatorOptions options;
   options.buckets_per_task = 16;

@@ -1,6 +1,6 @@
 // Wire framing of kAnalyzeRange, the distributed-sweep opcode: golden
 // byte layout of the request, end-to-end service dispatch checked
-// against the in-process analysis kernel, the v1 rejection rule, and
+// against the in-process analysis kernel, the version-1 refusal, and
 // feature negotiation against a server that never grants the bit (the
 // "old server" a coordinator must fall back from, client-side).
 
@@ -19,6 +19,7 @@
 #include "net/transport.h"
 #include "net/wire.h"
 #include "sim/parallel_file.h"
+#include "support/version1_frame.h"
 
 namespace fxdist {
 namespace {
@@ -36,7 +37,7 @@ void AppendLe(std::string* out, std::uint64_t value, int bytes) {
   }
 }
 
-// The request layout, pinned byte for byte from first principles: v2
+// The request layout, pinned byte for byte from first principles: the
 // header (magic u32, version u16, op u8, flags u8, correlation id u64,
 // payload length u32 — all little-endian), three u64 operands (mask,
 // start, end), FNV-1a-64 trailer over header+payload.  A change to any
@@ -46,13 +47,12 @@ TEST(AnalyzeRangeWire, GoldenRequestFrame) {
   writer.U64(0b101);  // mask: fields 0 and 2 unspecified
   writer.U64(32);     // start
   writer.U64(96);     // end
-  WireFrame frame{WireOp::kAnalyzeRange, false, writer.Take(),
-                  kWireVersionMux, 7};
+  WireFrame frame{WireOp::kAnalyzeRange, false, writer.Take(), 7};
   const std::string encoded = EncodeFrame(frame);
 
   std::string expected;
   AppendLe(&expected, kWireMagic, 4);
-  AppendLe(&expected, kWireVersionMux, 2);
+  AppendLe(&expected, kWireVersion, 2);
   AppendLe(&expected, 15, 1);  // the opcode value itself is wire contract
   AppendLe(&expected, 0, 1);   // request, not reply
   AppendLe(&expected, 7, 8);   // correlation id
@@ -79,7 +79,7 @@ TEST(AnalyzeRangeWire, ServiceReplyMatchesLocalKernel) {
   writer.U64(16);
   writer.U64(128);
   const std::string reply_bytes = service.HandleFrame(EncodeFrame(
-      {WireOp::kAnalyzeRange, false, writer.Take(), kWireVersionMux, 1}));
+      {WireOp::kAnalyzeRange, false, writer.Take(), 1}));
 
   auto reply = DecodeFrame(reply_bytes);
   ASSERT_TRUE(reply.ok());
@@ -118,14 +118,25 @@ TEST(AnalyzeRangeWire, V1FrameIsRejected) {
   writer.U64(0);
   writer.U64(0);
   writer.U64(8);
-  const std::string reply_bytes = service.HandleFrame(
-      EncodeFrame({WireOp::kAnalyzeRange, false, writer.Take()}));
-  auto reply = DecodeFrame(reply_bytes);
-  ASSERT_TRUE(reply.ok());
+  const std::string v1 =
+      EncodeVersion1Frame(WireOp::kAnalyzeRange, writer.Take());
+  // Refused at the header by every reader...
+  EXPECT_EQ(FrameSizeFromHeader(v1).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(DecodeFrame(v1).status().code(), StatusCode::kInvalidArgument);
+
+  // ...and the service answers with a decodable kError carrying the
+  // same InvalidArgument.
+  auto reply = DecodeFrame(service.HandleFrame(v1));
+  ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+  EXPECT_EQ(reply->op, WireOp::kError);
+  EXPECT_TRUE(reply->is_reply);
   PayloadReader reader(reply->payload);
   Status status;
   ASSERT_TRUE(reader.ReadStatusInto(&status).ok());
   EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(status.message().find("wire version mismatch"), std::string::npos)
+      << status.ToString();
 }
 
 TEST(AnalyzeRangeWire, MalformedOperandsAreRejected) {
@@ -147,7 +158,7 @@ TEST(AnalyzeRangeWire, MalformedOperandsAreRejected) {
     PayloadWriter writer;
     for (const std::uint64_t v : c.operands) writer.U64(v);
     auto reply = DecodeFrame(service.HandleFrame(EncodeFrame(
-        {WireOp::kAnalyzeRange, false, writer.Take(), kWireVersionMux, 1})));
+        {WireOp::kAnalyzeRange, false, writer.Take(), 1})));
     ASSERT_TRUE(reply.ok());
     PayloadReader reader(reply->payload);
     Status status;
@@ -163,8 +174,7 @@ TEST(AnalyzeRangeWire, MalformedOperandsAreRejected) {
 std::string StripAnalyzeRangeWant(ShardService& service,
                                   const std::string& request) {
   auto frame = DecodeFrame(request);
-  if (frame.ok() && frame->op == WireOp::kHandshake && !frame->is_reply &&
-      frame->version == kWireVersionMux) {
+  if (frame.ok() && frame->op == WireOp::kHandshake && !frame->is_reply) {
     PayloadReader reader(frame->payload);
     auto client_max = reader.U64();
     auto features = reader.U32();

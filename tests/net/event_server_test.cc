@@ -13,6 +13,7 @@
 #include <unistd.h>
 
 #include <cstdint>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <vector>
@@ -22,6 +23,7 @@
 #include "net/socket_transport.h"
 #include "net/wire.h"
 #include "sim/parallel_file.h"
+#include "support/version1_frame.h"
 #include "workload/query_gen.h"
 #include "workload/record_gen.h"
 
@@ -80,7 +82,6 @@ void ExpectSameExecuteReply(const std::string& a, const std::string& b,
   ASSERT_TRUE(fa.ok()) << context;
   ASSERT_TRUE(fb.ok()) << context;
   EXPECT_EQ(fa->op, fb->op) << context;
-  EXPECT_EQ(fa->version, fb->version) << context;
   EXPECT_EQ(fa->correlation_id, fb->correlation_id) << context;
   PayloadReader ra(fa->payload);
   PayloadReader rb(fb->payload);
@@ -110,7 +111,13 @@ TEST(EventServerTest, DeterministicOpsAreBitIdenticalToBlockingServer) {
   auto event = EventShardServer::Start(*backend).value();
 
   std::vector<std::string> requests;
-  requests.push_back(EncodeFrame({WireOp::kHandshake, false, ""}));
+  {
+    PayloadWriter hello;
+    hello.U64(kWireMaxPayload);
+    hello.U32(kWireFeatureScanMany | kWireFeatureInsertBatch);
+    requests.push_back(
+        EncodeFrame({WireOp::kHandshake, false, hello.Take()}));
+  }
   requests.push_back(EncodeFrame({WireOp::kNumRecords, false, ""}));
   requests.push_back(EncodeFrame({WireOp::kRecordCounts, false, ""}));
   {
@@ -127,12 +134,11 @@ TEST(EventServerTest, DeterministicOpsAreBitIdenticalToBlockingServer) {
     requests.push_back(
         EncodeFrame({WireOp::kIsBucketLive, false, writer.Take()}));
   }
-  // A v2 frame with a correlation id must come back with the id echoed
+  // A frame with a correlation id must come back with the id echoed
   // identically from both servers.
   {
     WireFrame topo;
     topo.op = WireOp::kTopology;
-    topo.version = kWireVersionMux;
     topo.correlation_id = 0xdeadbeef12345678ULL;
     requests.push_back(EncodeFrame(topo));
   }
@@ -286,25 +292,37 @@ TEST(EventServerTest, ChecksumDamageIsPerFrameNotPerConnection) {
 TEST(EventServerTest, MalformedHeaderGetsErrorReplyThenClose) {
   auto backend = LoadedBackend();
   auto event = EventShardServer::Start(*backend).value();
-  auto fd = Dial(event->port());
-  ASSERT_TRUE(fd.ok());
 
-  std::string garbage = EncodeFrame({WireOp::kNumRecords, false, ""});
-  garbage[0] ^= 0x01;  // magic: unframed beyond repair
-  auto reply = RoundTripOnFd(*fd, garbage);
-  ASSERT_TRUE(reply.ok()) << reply.status().ToString();
-  auto frame = DecodeFrame(*reply);
-  ASSERT_TRUE(frame.ok());
-  EXPECT_EQ(frame->op, WireOp::kError);
-  EXPECT_FALSE(ReplyStatus(*reply).ok());
+  std::string bad_magic = EncodeFrame({WireOp::kNumRecords, false, ""});
+  bad_magic[0] ^= 0x01;  // magic: unframed beyond repair
+  const struct {
+    const char* name;
+    std::string request;
+    StatusCode expected;
+  } rows[] = {
+      {"bad magic", bad_magic, StatusCode::kInvalidArgument},
+      // A version-1 peer's opener: refused at the header, not served.
+      {"version 1", EncodeVersion1Frame(WireOp::kHandshake, ""),
+       StatusCode::kInvalidArgument},
+  };
+  for (const auto& row : rows) {
+    auto fd = Dial(event->port());
+    ASSERT_TRUE(fd.ok()) << row.name;
+    auto reply = RoundTripOnFd(*fd, row.request);
+    ASSERT_TRUE(reply.ok()) << row.name << ": " << reply.status().ToString();
+    auto frame = DecodeFrame(*reply);
+    ASSERT_TRUE(frame.ok()) << row.name;
+    EXPECT_EQ(frame->op, WireOp::kError) << row.name;
+    EXPECT_EQ(ReplyStatus(*reply).code(), row.expected) << row.name;
 
-  // ...and then the close: the stream cannot be resynced.
-  auto next = RecvFrameOnFd(*fd);
-  EXPECT_FALSE(next.ok());
-  ::close(*fd);
+    // ...and then the close: the stream cannot be resynced.
+    auto next = RecvFrameOnFd(*fd);
+    EXPECT_FALSE(next.ok()) << row.name;
+    ::close(*fd);
+  }
 
   const EventServerStats stats = event->Stats();
-  EXPECT_EQ(stats.protocol_errors, 1u);
+  EXPECT_EQ(stats.protocol_errors, std::size(rows));
 }
 
 TEST(EventServerTest, StopWithLiveConnectionsIsCleanAndIdempotent) {

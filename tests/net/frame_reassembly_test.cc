@@ -27,12 +27,11 @@ std::vector<std::string> GoldenFrames() {
   frames.push_back(EncodeFrame({WireOp::kExecute, false, "query bytes"}));
   frames.push_back(
       EncodeFrame({WireOp::kScanBucket, true, std::string(300, '\x5a')}));
-  // A v2 frame exercises the two-stage header-size path (the first 12
-  // bytes do not yet contain the length field).
+  // A nonzero correlation id: its bytes sit between the opcode and the
+  // length field, so a split inside them must not confuse the reader.
   WireFrame mux;
   mux.op = WireOp::kExecute;
   mux.payload = "mux payload";
-  mux.version = kWireVersionMux;
   mux.correlation_id = 0x1122334455667788ULL;
   frames.push_back(EncodeFrame(mux));
   frames.push_back(EncodeFrame({WireOp::kNumRecords, false, ""}));
@@ -122,7 +121,7 @@ TEST(FrameReassemblyTest, FramesBeforeBadPrefixAreStillDelivered) {
   const std::string good = EncodeFrame({WireOp::kExecute, false, "abc"});
   std::string stream = good;
   std::string bad = good;
-  bad[4] = static_cast<char>(kWireVersionMux + 1);  // bad version
+  bad[4] = static_cast<char>(kWireVersion + 1);  // bad version
   stream += bad;
   FrameReassembler reassembler;
   std::vector<std::string> out;
@@ -133,10 +132,10 @@ TEST(FrameReassemblyTest, FramesBeforeBadPrefixAreStillDelivered) {
 
 TEST(FrameReassemblyTest, OverLimitLengthRejectedBeforeBuffering) {
   std::string frame = EncodeFrame({WireOp::kExecute, false, "abc"});
-  frame[8] = '\xff';  // v1 length field -> ~2 GiB
-  frame[9] = '\xff';
-  frame[10] = '\xff';
-  frame[11] = '\x7f';
+  frame[kWireHeaderSize - 4] = '\xff';  // length field -> ~2 GiB
+  frame[kWireHeaderSize - 3] = '\xff';
+  frame[kWireHeaderSize - 2] = '\xff';
+  frame[kWireHeaderSize - 1] = '\x7f';
   FrameReassembler reassembler;
   std::vector<std::string> out;
   const Status st =

@@ -1,5 +1,5 @@
-// The pipelined wire layer: golden frame blobs pinning both header
-// layouts, frame-limit and length-slot hardening, the MuxTransport
+// The pipelined wire layer: a golden frame blob pinning the header
+// layout, frame-limit and length-slot hardening, the MuxTransport
 // ordering/association contract (out-of-order completion, stale drops,
 // desync rejection, window back-pressure), jittered retry backoff, and a
 // differential proving a ShardedBackend of pipelined RemoteBackends is
@@ -26,6 +26,7 @@
 #include "net/wire.h"
 #include "sim/composite_backend.h"
 #include "sim/parallel_file.h"
+#include "support/version1_frame.h"
 #include "workload/query_gen.h"
 #include "workload/record_gen.h"
 
@@ -35,19 +36,10 @@ namespace {
 using namespace std::string_literals;
 
 // ---------------------------------------------------------------------
-// Golden frames: byte-for-byte pins of both header layouts.  If any of
-// these stop matching, the build no longer interoperates with deployed
-// peers — fix the code, never the blobs.
+// Golden frame: a byte-for-byte pin of the header layout.  If it stops
+// matching, the build no longer interoperates with deployed peers — fix
+// the code, never the blob.
 
-// v1 kScanBucket request for (device=3, bucket=9).
-const std::string kGoldenV1ScanBucket =
-    "\x21\x57\x58\x46\x01\x00\x05\x00\x10\x00\x00\x00\x03\x00\x00\x00\x00"
-    "\x00\x00\x00\x09\x00\x00\x00\x00\x00\x00\x00\x01\xdd\x03\x53\x73\x17"
-    "\x4b\xdf"s;
-// v1 empty kHandshake request (the classic-dialect opener).
-const std::string kGoldenV1Handshake =
-    "\x21\x57\x58\x46\x01\x00\x01\x00\x00\x00\x00\x00\xbf\xf9\x59\x70\xa3"
-    "\xc0\x45\x93"s;
 // v2 kScanMany request, correlation id 0x1122334455667788, one ref
 // (device=1, bucket=7).
 const std::string kGoldenV2ScanMany =
@@ -56,61 +48,36 @@ const std::string kGoldenV2ScanMany =
     "\x00\x00\x07\x00\x00\x00\x00\x00\x00\x00\x46\x51\x77\xad\xd2\x8d\x69"
     "\x97"s;
 
-TEST(WireLimitsTest, GoldenV1FramesAreStable) {
-  {
-    PayloadWriter writer;
-    writer.U64(3);
-    writer.U64(9);
-    WireFrame frame{WireOp::kScanBucket, false, writer.Take()};
-    EXPECT_EQ(EncodeFrame(frame), kGoldenV1ScanBucket);
-  }
-  EXPECT_EQ(EncodeFrame(WireFrame{WireOp::kHandshake, false, ""}),
-            kGoldenV1Handshake);
-
-  auto decoded = DecodeFrame(kGoldenV1ScanBucket);
-  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
-  EXPECT_EQ(decoded->op, WireOp::kScanBucket);
-  EXPECT_FALSE(decoded->is_reply);
-  EXPECT_EQ(decoded->version, kWireVersion);
-  EXPECT_EQ(decoded->correlation_id, 0u);
-  PayloadReader reader(decoded->payload);
-  EXPECT_EQ(reader.U64().ValueOr(0), 3u);
-  EXPECT_EQ(reader.U64().ValueOr(0), 9u);
-  EXPECT_TRUE(reader.AtEnd());
-
-  auto size = WireHeaderSizeFromPrefix(kGoldenV1ScanBucket);
-  ASSERT_TRUE(size.ok());
-  EXPECT_EQ(*size, kWireHeaderSize);
-}
-
 TEST(WireLimitsTest, GoldenV2FrameIsStable) {
   PayloadWriter writer;
   writer.U64(1);
   writer.U64(1);
   writer.U64(7);
   WireFrame frame{WireOp::kScanMany, false, writer.Take()};
-  frame.version = kWireVersionMux;
   frame.correlation_id = 0x1122334455667788ull;
   EXPECT_EQ(EncodeFrame(frame), kGoldenV2ScanMany);
 
   auto decoded = DecodeFrame(kGoldenV2ScanMany);
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
   EXPECT_EQ(decoded->op, WireOp::kScanMany);
-  EXPECT_EQ(decoded->version, kWireVersionMux);
   EXPECT_EQ(decoded->correlation_id, 0x1122334455667788ull);
 
-  auto size = WireHeaderSizeFromPrefix(kGoldenV2ScanMany);
+  auto size = FrameSizeFromHeader(kGoldenV2ScanMany);
   ASSERT_TRUE(size.ok());
-  EXPECT_EQ(*size, kWireHeaderSizeMux);
+  EXPECT_EQ(*size, kGoldenV2ScanMany.size());
+  auto cid = WireCorrelationId(kGoldenV2ScanMany);
+  ASSERT_TRUE(cid.ok());
+  EXPECT_EQ(*cid, 0x1122334455667788ull);
 }
 
 // Satellite: an announced length past the frame limit must be rejected
 // from the header alone — DataLoss, before any payload allocation.
 TEST(WireLimitsTest, OversizedAnnouncedLengthIsDataLossNotAnAllocation) {
-  std::string header = kGoldenV1ScanBucket.substr(0, kWireHeaderSize);
+  std::string header = kGoldenV2ScanMany.substr(0, kWireHeaderSize);
   const auto poke_len = [&header](std::uint32_t len) {
-    for (int i = 0; i < 4; ++i) {
-      header[8 + i] = static_cast<char>((len >> (8 * i)) & 0xff);
+    for (std::size_t i = 0; i < 4; ++i) {
+      header[kWireHeaderSize - 4 + i] =
+          static_cast<char>((len >> (8 * i)) & 0xff);
     }
   };
 
@@ -178,14 +145,12 @@ std::string EchoReply(const std::string& request) {
   reply.op = frame->op;
   reply.is_reply = true;
   reply.payload = frame->payload;
-  reply.version = frame->version;
   reply.correlation_id = frame->correlation_id;
   return EncodeFrame(reply);
 }
 
 std::string MuxRequest(std::uint64_t cid, std::string payload) {
   WireFrame frame{WireOp::kExecute, false, std::move(payload)};
-  frame.version = kWireVersionMux;
   frame.correlation_id = cid;
   return EncodeFrame(frame);
 }
@@ -351,6 +316,27 @@ TEST(MuxTransportTest, NeverIssuedCorrelationIdBreaksThenHeals) {
   EXPECT_EQ(DecodeFrame(*second)->payload, "healed");
 }
 
+TEST(MuxTransportTest, Version1ReplyIsDataLossAndBreaksTheConnection) {
+  auto channel = std::make_unique<ScriptedChannel>();
+  ScriptedChannel* script = channel.get();
+  MuxTransport mux(std::move(channel));
+
+  Result<std::string> first = Status::Internal("unset");
+  std::thread t1([&] { first = mux.RoundTrip(MuxRequest(1, "v1 peer")); });
+  script->WaitForSends(1);
+  // A version-1 frame carries no correlation id: nothing can route it.
+  script->Push(EncodeVersion1Frame(WireOp::kExecute, "v1 peer"));
+  t1.join();
+  ASSERT_FALSE(first.ok());
+  EXPECT_EQ(first.status().code(), StatusCode::kDataLoss);
+
+  Result<std::string> second = Status::Internal("unset");
+  std::thread t2([&] { second = mux.RoundTrip(MuxRequest(2, "healed")); });
+  script->Push(EchoReply(script->WaitForSends(2)[1]));
+  t2.join();
+  ASSERT_TRUE(second.ok()) << second.status().ToString();
+}
+
 TEST(MuxTransportTest, WindowSaturationBlocksUntilASlotFrees) {
   auto channel = std::make_unique<ScriptedChannel>();
   ScriptedChannel* script = channel.get();
@@ -453,8 +439,6 @@ PipelinedRig MakePipelinedRig(RemoteBackend::Options options = [] {
 
 TEST(PipelinedRemoteTest, NegotiatesV2AndScanMany) {
   PipelinedRig rig = MakePipelinedRig();
-  EXPECT_EQ(rig.remote->wire_version(), kWireVersionMux);
-  EXPECT_TRUE(rig.remote->scan_many_enabled());
   EXPECT_EQ(rig.remote->negotiated_max_payload(), kWireMaxPayload);
 
   ASSERT_TRUE(rig.remote->Insert(RigRecord(1, 2)).ok());
@@ -476,80 +460,37 @@ TEST(PipelinedRemoteTest, NegotiatesV2AndScanMany) {
   EXPECT_EQ(rig.faults->calls() - calls_before, 1u);  // one frame, not 128
 }
 
-TEST(PipelinedRemoteTest, ForcedV1SpeaksTheClassicDialect) {
-  RemoteBackend::Options options;
-  options.backoff_initial_ms = 0;
-  options.force_wire_v1 = true;
-  PipelinedRig rig = MakePipelinedRig(options);
-  EXPECT_EQ(rig.remote->wire_version(), kWireVersion);
-  EXPECT_FALSE(rig.remote->scan_many_enabled());
-
-  ASSERT_TRUE(rig.remote->Insert(RigRecord(1, 2)).ok());
-  auto result = rig.remote->Execute(QueryFor(RigRecord(1, 2)));
-  ASSERT_TRUE(result.ok()) << result.status().ToString();
-  EXPECT_EQ(result->stats.records_matched, 1u);
-
-  // ScanMany degrades to one kScanBucket round trip per ref.
-  const std::uint64_t calls_before = rig.faults->calls();
-  std::uint64_t visited = 0;
-  std::vector<BucketRef> refs = {{0, 0}, {0, 1}, {1, 0}};
-  rig.remote->ScanMany(refs, [&visited](std::size_t, const Record&) {
-    ++visited;
-    return true;
-  });
-  EXPECT_EQ(rig.faults->calls() - calls_before, 3u);
-}
-
-// A pre-v2 server rejects the v2 probe with a v1 error frame; the client
-// must fall back to the classic dialect on both transport shapes.
-std::string OldServerHandleFrame(ShardService& service,
-                                 const std::string& request) {
-  if (request.size() >= 6 && request[4] != 1) {
-    PayloadWriter writer;
-    writer.WriteStatus(Status::InvalidArgument(
-        "wire version mismatch: peer speaks v2, this build v1"));
-    return EncodeFrame(WireFrame{WireOp::kError, true, writer.Take()});
-  }
-  return service.HandleFrame(request);
-}
-
-TEST(PipelinedRemoteTest, FallsBackToV1AgainstAnOldServer) {
-  auto served = std::make_shared<ParallelFile>(
-      ParallelFile::Create(RigSchema(), 2, "fx-iu2", 7).value());
-  auto service = std::make_shared<ShardService>(*served);
-  RemoteBackend::Options options;
-  options.backoff_initial_ms = 0;
-
-  // Plain blocking transport.
-  {
-    auto transport = std::make_unique<LoopbackTransport>(
-        [served, service](const std::string& request) {
-          return OldServerHandleFrame(*service, request);
-        });
-    auto remote = RemoteBackend::Connect(std::move(transport), options);
-    ASSERT_TRUE(remote.ok()) << remote.status().ToString();
-    EXPECT_EQ((*remote)->wire_version(), kWireVersion);
-    EXPECT_FALSE((*remote)->scan_many_enabled());
-    ASSERT_TRUE((*remote)->Insert(RigRecord(1, 2)).ok());
-    auto result = (*remote)->Execute(QueryFor(RigRecord(1, 2)));
-    ASSERT_TRUE(result.ok()) << result.status().ToString();
-    EXPECT_EQ(result->stats.records_matched, 1u);
-  }
-
-  // Multiplexed connection: the uncorrelated v1 error reply breaks the
-  // mux stream; the fallback handshake must revive it in exclusive mode.
-  {
+// A server that withholds ScanMany or InsertBatch speaks an older wire
+// than this client: Connect refuses it instead of degrading to per-bucket
+// or per-record round trips.
+TEST(PipelinedRemoteTest, ConnectRequiresScanManyAndInsertBatch) {
+  for (const std::uint32_t withheld :
+       {kWireFeatureScanMany, kWireFeatureInsertBatch}) {
+    auto served = std::make_shared<ParallelFile>(
+        ParallelFile::Create(RigSchema(), 2, "fx-iu2", 7).value());
+    auto service = std::make_shared<ShardService>(*served);
     auto channel = std::make_unique<LoopbackFrameChannel>(
-        [served, service](const std::string& request) {
-          return OldServerHandleFrame(*service, request);
+        [service, withheld](const std::string& request) {
+          auto frame = DecodeFrame(request);
+          if (frame.ok() && frame->op == WireOp::kHandshake) {
+            PayloadReader reader(frame->payload);
+            const std::uint64_t client_max = reader.U64().ValueOr(0);
+            const std::uint32_t wants = reader.U32().ValueOr(0);
+            PayloadWriter hello;
+            hello.U64(client_max);
+            hello.U32(wants & ~withheld);
+            frame->payload = hello.Take();
+            return service->HandleFrame(EncodeFrame(*frame));
+          }
+          return service->HandleFrame(request);
         });
+    RemoteBackend::Options options;
+    options.backoff_initial_ms = 0;
     auto remote = RemoteBackend::Connect(
         std::make_unique<MuxTransport>(std::move(channel)), options);
-    ASSERT_TRUE(remote.ok()) << remote.status().ToString();
-    EXPECT_EQ((*remote)->wire_version(), kWireVersion);
-    auto result = (*remote)->Execute(QueryFor(RigRecord(1, 2)));
-    ASSERT_TRUE(result.ok()) << result.status().ToString();
-    EXPECT_EQ(result->stats.records_matched, 1u);
+    ASSERT_FALSE(remote.ok()) << "withheld feature " << withheld;
+    EXPECT_EQ(remote.status().code(), StatusCode::kFailedPrecondition)
+        << remote.status().ToString();
   }
 }
 
@@ -648,7 +589,6 @@ std::unique_ptr<StorageBackend> MakePipelinedSharded() {
         std::make_unique<MuxTransport>(std::move(channel)));
     EXPECT_TRUE(remote.ok()) << remote.status().ToString();
     if (!remote.ok()) return nullptr;
-    EXPECT_EQ((*remote)->wire_version(), kWireVersionMux);
     children.push_back(*std::move(remote));
   }
   auto created = ShardedBackend::Create(std::move(children));

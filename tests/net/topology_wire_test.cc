@@ -51,10 +51,24 @@ std::unique_ptr<RemoteBackend> ConnectTo(std::shared_ptr<ShardService> service,
 TEST(TopologyWire, V2HandshakeGrantsInsertBatch) {
   auto served = std::make_shared<ParallelFile>(
       ParallelFile::Create(RigSchema(), 2, "fx-iu2", 7).value());
-  auto service = std::make_shared<ShardService>(*served);
-  auto remote = ConnectTo(service);
-  EXPECT_EQ(remote->wire_version(), kWireVersionMux);
-  EXPECT_TRUE(remote->insert_batch_enabled());
+  ShardService service(*served);
+  PayloadWriter hello;
+  hello.U64(kWireMaxPayload);
+  hello.U32(kWireFeatureInsertBatch);
+  auto reply = DecodeFrame(service.HandleFrame(
+      EncodeFrame({WireOp::kHandshake, false, hello.Take(), 3})));
+  ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+  EXPECT_EQ(reply->correlation_id, 3u);
+  PayloadReader reader(reply->payload);
+  Status status;
+  ASSERT_TRUE(reader.ReadStatusInto(&status).ok());
+  ASSERT_TRUE(status.ok()) << status.ToString();
+  ASSERT_TRUE(reader.Str().ok());  // blueprint
+  ASSERT_TRUE(reader.U64().ok());  // server frame limit
+  auto granted = reader.U32();
+  ASSERT_TRUE(granted.ok());
+  EXPECT_EQ(*granted, kWireFeatureInsertBatch);  // exactly what was asked
+  EXPECT_TRUE(reader.AtEnd());
 }
 
 TEST(TopologyWire, InsertBatchLandsEveryRecordOnce) {
@@ -77,21 +91,6 @@ TEST(TopologyWire, InsertBatchLandsEveryRecordOnce) {
   q[0] = FieldValue{std::int64_t{3}};
   auto result = remote->Execute(q).value();
   EXPECT_EQ(result.records.size(), 1u);  // ids are unique
-}
-
-TEST(TopologyWire, V1FallbackStillBatchInsertsViaLoop) {
-  auto served = std::make_shared<ParallelFile>(
-      ParallelFile::Create(RigSchema(), 2, "fx-iu2", 7).value());
-  auto service = std::make_shared<ShardService>(*served);
-  RemoteBackend::Options options;
-  options.force_wire_v1 = true;
-  auto remote = ConnectTo(service, options);
-  EXPECT_FALSE(remote->insert_batch_enabled());
-
-  std::vector<Record> records;
-  for (std::int64_t id = 0; id < 10; ++id) records.push_back(RecordOf(id));
-  ASSERT_TRUE(remote->InsertBatch(std::move(records)).ok());
-  EXPECT_EQ(served->num_records(), 10u);
 }
 
 TEST(TopologyWire, TopologyProbeReportsIdlePlane) {

@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "support/version1_frame.h"
 #include "util/random.h"
 
 namespace fxdist {
@@ -57,24 +58,43 @@ TEST(WireFrameTest, RejectsBadMagicVersionOpcodeAndLength) {
   EXPECT_FALSE(FrameSizeFromHeader(bad_magic).ok());
   EXPECT_FALSE(DecodeFrame(bad_magic).ok());
 
-  // Version 2 is a real dialect now; the first unassigned version is 3.
   std::string bad_version = good;
-  bad_version[4] = static_cast<char>(kWireVersionMux + 1);
+  bad_version[4] = static_cast<char>(kWireVersion + 1);
   EXPECT_FALSE(FrameSizeFromHeader(bad_version).ok());
   EXPECT_FALSE(DecodeFrame(bad_version).ok());
+
+  // A well-formed version-1 frame is refused at the header as a protocol
+  // mismatch, exactly like an unassigned version.
+  // The helper reproduces a real version-1 peer's opener byte for byte.
+  EXPECT_EQ(EncodeVersion1Frame(WireOp::kHandshake, ""),
+            std::string("\x21\x57\x58\x46\x01\x00\x01\x00\x00\x00\x00\x00"
+                        "\xbf\xf9\x59\x70\xa3\xc0\x45\x93",
+                        20));
+  const std::string v1 = EncodeVersion1Frame(WireOp::kExecute, "abc");
+  for (const auto& refused :
+       {FrameSizeFromHeader(v1).status(), DecodeFrame(v1).status()}) {
+    EXPECT_EQ(refused.code(), StatusCode::kInvalidArgument)
+        << refused.ToString();
+    EXPECT_NE(refused.message().find("wire version mismatch"),
+              std::string::npos)
+        << refused.ToString();
+  }
 
   std::string bad_opcode = good;
   bad_opcode[6] = 126;  // not a WireOp value
   EXPECT_FALSE(DecodeFrame(bad_opcode).ok());
 
   // Announced length past kWireMaxPayload must be rejected from the
-  // header alone — before any allocation could be sized from it.
+  // header alone — before any allocation could be sized from it.  The
+  // length is the header's last u32.
   std::string bad_length = good;
-  bad_length[8] = '\xff';
-  bad_length[9] = '\xff';
-  bad_length[10] = '\xff';
-  bad_length[11] = '\x7f';
-  EXPECT_FALSE(FrameSizeFromHeader(bad_length).ok());
+  bad_length[kWireHeaderSize - 4] = '\xff';
+  bad_length[kWireHeaderSize - 3] = '\xff';
+  bad_length[kWireHeaderSize - 2] = '\xff';
+  bad_length[kWireHeaderSize - 1] = '\x7f';
+  auto length_refused = FrameSizeFromHeader(bad_length);
+  ASSERT_FALSE(length_refused.ok());
+  EXPECT_EQ(length_refused.status().code(), StatusCode::kDataLoss);
   EXPECT_FALSE(DecodeFrame(bad_length).ok());
 }
 
@@ -246,7 +266,7 @@ TEST(WireFuzzTest, MutatedFramesAreRejectedCleanly) {
     writer.U64(0);
     writer.U64(4096);
     corpus.push_back(EncodeFrame({WireOp::kAnalyzeRange, false,
-                                  writer.Take(), kWireVersionMux, 42}));
+                                  writer.Take(), 42}));
   }
   {
     // kAnalyzeRange reply: status, device count, counts, qualified.
@@ -256,7 +276,7 @@ TEST(WireFuzzTest, MutatedFramesAreRejectedCleanly) {
     for (std::uint64_t d = 0; d < 4; ++d) writer.U64(16 + d);
     writer.U64(70);
     corpus.push_back(EncodeFrame({WireOp::kAnalyzeRange, true,
-                                  writer.Take(), kWireVersionMux, 42}));
+                                  writer.Take(), 42}));
   }
 
   Xoshiro256 rng(20260805);
@@ -288,10 +308,10 @@ TEST(WireFuzzTest, MutatedFramesAreRejectedCleanly) {
         default: {  // rewrite the announced payload length
           if (frame.size() < kWireHeaderSize) break;
           const std::uint32_t bogus = static_cast<std::uint32_t>(rng.Next());
-          frame[8] = static_cast<char>(bogus & 0xff);
-          frame[9] = static_cast<char>((bogus >> 8) & 0xff);
-          frame[10] = static_cast<char>((bogus >> 16) & 0xff);
-          frame[11] = static_cast<char>((bogus >> 24) & 0xff);
+          for (std::size_t i = 0; i < 4; ++i) {
+            frame[kWireHeaderSize - 4 + i] =
+                static_cast<char>((bogus >> (8 * i)) & 0xff);
+          }
           break;
         }
       }

@@ -83,7 +83,7 @@ int Usage() {
          "               [--backend flat|paged|dynamic|sharded|replicated\n"
          "                |packed] [--packfile PATH]\n"
          "               [--remote host:port,...]  (RemoteBackend shards)\n"
-         "               [--window W] [--wire v1|v2]  (remote pipelining)\n"
+         "               [--window W]  (remote pipelining)\n"
          "               [--placement mirrored|chained] [--fail D1,D2,...]\n"
          "               [--pagesize P] [--records N] [--queries N]\n"
          "               [--batch B] [--threads T] [--templates K]\n"
@@ -487,19 +487,10 @@ int CmdServeBench(const Flags& flags) {
       child_specs.push_back("remote:" + host_port);
     }
     ChildBackendOptions child_options;
-    // --window 1 keeps the plain blocking connection; --wire v1 forces
-    // the classic dialect (the pre-pipelining serial baseline).
+    // --window 1 allows one request in flight per shard connection.
     child_options.remote.pipeline_window = get_u64("window", 32);
     if (auto id_it = flags.find("client-id"); id_it != flags.end()) {
       child_options.remote.client_id = id_it->second;
-    }
-    if (auto wire_it = flags.find("wire"); wire_it != flags.end()) {
-      if (wire_it->second == "v1") {
-        child_options.remote.force_wire_v1 = true;
-      } else if (wire_it->second != "v2") {
-        std::cerr << "--wire takes v1 or v2\n";
-        return 1;
-      }
     }
     auto created = MakeShardedBackend(child_specs, *schema, num_devices,
                                       method_spec, seed, child_options);
