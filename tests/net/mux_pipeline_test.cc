@@ -1,9 +1,11 @@
 // The pipelined wire layer: a golden frame blob pinning the header
 // layout, frame-limit and length-slot hardening, the MuxTransport
 // ordering/association contract (out-of-order completion, stale drops,
-// desync rejection, window back-pressure), jittered retry backoff, and a
-// differential proving a ShardedBackend of pipelined RemoteBackends is
-// bit-identical to the in-process ShardedBackend it mirrors.
+// desync rejection, window back-pressure), jittered retry backoff, the
+// handshake's retry, the server's correlation-id echo on damaged
+// requests, and a differential proving a ShardedBackend of pipelined
+// RemoteBackends is bit-identical to the in-process ShardedBackend it
+// mirrors.
 //
 // Everything runs in-process (LoopbackFrameChannel / scripted channels),
 // so the suite is deterministic and TSan-clean.
@@ -68,6 +70,34 @@ TEST(WireLimitsTest, GoldenV2FrameIsStable) {
   auto cid = WireCorrelationId(kGoldenV2ScanMany);
   ASSERT_TRUE(cid.ok());
   EXPECT_EQ(*cid, 0x1122334455667788ull);
+}
+
+// The correlation id is readable from the first 16 bytes alone (a mux
+// routes on it before the length slot matters), but only after magic and
+// version check out: a version-1 frame's bytes 8..15 are its length and
+// payload, not an id.
+TEST(WireLimitsTest, CorrelationIdReadsSixteenValidatedBytes) {
+  auto cid = WireCorrelationId(kGoldenV2ScanMany.substr(0, 16));
+  ASSERT_TRUE(cid.ok()) << cid.status().ToString();
+  EXPECT_EQ(*cid, 0x1122334455667788ull);
+
+  auto truncated = WireCorrelationId(kGoldenV2ScanMany.substr(0, 15));
+  ASSERT_FALSE(truncated.ok());
+  EXPECT_EQ(truncated.status().code(), StatusCode::kDataLoss);
+
+  std::string bad_magic = kGoldenV2ScanMany;
+  bad_magic[0] ^= 0x01;
+  auto magic = WireCorrelationId(bad_magic);
+  ASSERT_FALSE(magic.ok());
+  EXPECT_EQ(magic.status().code(), StatusCode::kInvalidArgument);
+
+  auto v1 = WireCorrelationId(
+      EncodeVersion1Frame(WireOp::kScanMany, kGoldenV2ScanMany.substr(20)));
+  ASSERT_FALSE(v1.ok());
+  EXPECT_EQ(v1.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(v1.status().message().find("wire version mismatch"),
+            std::string::npos)
+      << v1.status().ToString();
 }
 
 // Satellite: an announced length past the frame limit must be rejected
@@ -505,6 +535,99 @@ TEST(PipelinedRemoteTest, RetriesKeepExactCallCountsThroughTheMux) {
   EXPECT_EQ(result->stats.records_matched, 1u);
   EXPECT_EQ(rig.faults->calls() - calls_before, 3u);
   EXPECT_TRUE(rig.remote->Health().ok());
+}
+
+// The handshake is an idempotent call like any other: a dropped request
+// or a lost reply is retried (the server re-answers an announced client
+// without listing it twice), and a server that never answers fails
+// Connect after max_attempts round trips.
+TEST(PipelinedRemoteTest, HandshakeRetriesLikeAnyIdempotentCall) {
+  auto served = std::make_shared<ParallelFile>(
+      ParallelFile::Create(RigSchema(), 2, "fx-iu2", 7).value());
+  auto service = std::make_shared<ShardService>(*served);
+  const auto faulty_transport = [&service]() {
+    return std::make_unique<FaultInjectingTransport>(
+        std::make_unique<MuxTransport>(std::make_unique<LoopbackFrameChannel>(
+            [service](const std::string& request) {
+              return service->HandleFrame(request);
+            })));
+  };
+  RemoteBackend::Options options;
+  options.backoff_initial_ms = 0;
+  options.client_id = "tenant-3";
+
+  for (const FaultKind kind :
+       {FaultKind::kDrop, FaultKind::kDelayPastDeadline}) {
+    auto transport = faulty_transport();
+    FaultInjectingTransport* faults = transport.get();
+    faults->InjectFault(kind, 2);
+    auto remote = RemoteBackend::Connect(std::move(transport), options);
+    ASSERT_TRUE(remote.ok()) << static_cast<int>(kind) << ": "
+                             << remote.status().ToString();
+    EXPECT_EQ(faults->calls(), 3u);
+    EXPECT_EQ(faults->faulted(), 2u);
+    EXPECT_EQ((*remote)->negotiated_max_payload(), kWireMaxPayload);
+    ASSERT_TRUE((*remote)->Insert(RigRecord(5, 6)).ok());
+  }
+  const auto clients = service->AnnouncedClients();
+  ASSERT_EQ(clients.size(), 1u);
+  EXPECT_EQ(clients[0], "tenant-3");
+  EXPECT_EQ(served->num_records(), 2u);
+
+  auto transport = faulty_transport();
+  FaultInjectingTransport* faults = transport.get();
+  faults->InjectFault(FaultKind::kDrop, -1);
+  auto refused = RemoteBackend::Connect(std::move(transport), options);
+  ASSERT_FALSE(refused.ok());
+  EXPECT_EQ(refused.status().code(), StatusCode::kUnavailable)
+      << refused.status().ToString();
+  EXPECT_EQ(faults->calls(), static_cast<std::uint64_t>(options.max_attempts));
+  EXPECT_EQ(faults->delivered(), 0u);
+}
+
+// A request the server cannot decode is answered with a kError reply
+// that carries the request's correlation id whenever the header is good
+// enough to yield one (so the client's mux can wake the right waiter),
+// and id 0 when it is not.
+TEST(ShardErrorReplyTest, EchoesTheCorrelationIdOfADamagedRequest) {
+  auto served = std::make_shared<ParallelFile>(
+      ParallelFile::Create(RigSchema(), 2, "fx-iu2", 7).value());
+  ShardService service(*served);
+
+  struct Case {
+    const char* name;
+    std::string request;
+    StatusCode code;
+    std::uint64_t cid;
+  };
+  std::string bad_checksum = kGoldenV2ScanMany;
+  bad_checksum.back() ^= 0x01;
+  std::string bad_magic = kGoldenV2ScanMany;
+  bad_magic[0] ^= 0x01;
+  WireFrame reply_frame{WireOp::kNumRecords, /*is_reply=*/true, ""};
+  reply_frame.correlation_id = 0x0102030405060708ull;
+  const std::vector<Case> cases = {
+      {"checksum", bad_checksum, StatusCode::kDataLoss, 0x1122334455667788ull},
+      {"truncated", kGoldenV2ScanMany.substr(0, kGoldenV2ScanMany.size() - 1),
+       StatusCode::kDataLoss, 0x1122334455667788ull},
+      {"reply-as-request", EncodeFrame(reply_frame),
+       StatusCode::kInvalidArgument, 0x0102030405060708ull},
+      {"magic", bad_magic, StatusCode::kInvalidArgument, 0},
+      {"short", kGoldenV2ScanMany.substr(0, 10), StatusCode::kDataLoss, 0},
+  };
+  for (const Case& c : cases) {
+    auto reply = DecodeFrame(service.HandleFrame(c.request));
+    ASSERT_TRUE(reply.ok()) << c.name << ": " << reply.status().ToString();
+    EXPECT_EQ(reply->op, WireOp::kError) << c.name;
+    EXPECT_TRUE(reply->is_reply) << c.name;
+    EXPECT_EQ(reply->correlation_id, c.cid) << c.name;
+    PayloadReader reader(reply->payload);
+    Status status;
+    ASSERT_TRUE(reader.ReadStatusInto(&status).ok()) << c.name;
+    EXPECT_EQ(status.code(), c.code) << c.name << ": " << status.ToString();
+    EXPECT_TRUE(reader.ExpectEnd().ok()) << c.name;
+  }
+  EXPECT_EQ(served->num_records(), 0u);
 }
 
 // Satellite: retry backoff draws decorrelated jitter from an injected
